@@ -1,0 +1,335 @@
+"""
+Banded assembly of the Galerkin and streamline-diffusion (SDFEM) systems
+over a layer-adapted mesh with order-k Lagrange elements, homogeneous
+Dirichlet elimination, and the banded solve.
+
+Global node numbering is left to right (element e owns nodes e*k .. e*k+k),
+so the matrix bandwidth is k.  Convection dominance can destroy diagonal
+dominance, hence banded LU with partial pivoting for the solve.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+import scipy.linalg
+
+from .basis import ReferenceBasis, gauss_rule, estimate_c_inv
+from .mesh import Mesh
+from .problem import Problem, gamma_estimate
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_basis(k: int, family: str) -> ReferenceBasis:
+    return ReferenceBasis(k, family)
+
+DELTA_POLICIES = ("standard", "theorem-capped")
+
+RESIDUAL_TOL = 1e-10
+
+
+class AssemblyError(RuntimeError):
+    """Raised when coefficient evaluation breaks down during assembly."""
+
+
+class SolverError(RuntimeError):
+    """Raised when the banded solve fails or misses the residual contract."""
+
+
+@dataclass(frozen=True)
+class StabilizationProfile:
+    """Per-interval SDFEM parameters delta_i >= 0."""
+
+    deltas: np.ndarray
+    c0: float
+    policy: str
+    caps_applied: np.ndarray  # True where a theorem cap reduced the standard value
+
+    def __post_init__(self):
+        self.deltas.setflags(write=False)
+        self.caps_applied.setflags(write=False)
+        if np.any(self.deltas < 0.0):
+            raise ValueError("stabilization parameters must be nonnegative")
+
+
+def compute_deltas(
+    mesh: Mesh,
+    eps: float,
+    c0: float = 1.0,
+    policy: str = "standard",
+    problem: Optional[Problem] = None,
+    k: Optional[int] = None,
+) -> StabilizationProfile:
+    """
+    Standard policy: delta_i = c0 * min(h_i^2/eps, h_i).
+
+    Theorem-capped additionally clamps by gamma/(2 ||c||_inf^2) for every k,
+    by h_i^2/(2 eps c_inv^2) for k >= 2, and by (K+1)/N for k = 1; these are
+    the constraints under which coercivity and the supercloseness bound are
+    proved.  Needs `problem` (for gamma and ||c||_inf) and `k`.
+    """
+    if c0 <= 0.0:
+        raise ValueError(f"c0 must be positive, got {c0}")
+    if policy not in DELTA_POLICIES:
+        raise ValueError(f"unknown delta policy {policy!r}; expected one of {DELTA_POLICIES}")
+    h = mesh.lengths
+    deltas = c0 * np.minimum(h * h / eps, h)
+    if policy == "standard":
+        return StabilizationProfile(deltas, c0, policy, np.zeros(h.size, dtype=bool))
+    if problem is None or k is None:
+        raise ValueError("theorem-capped policy needs problem and k")
+    gamma = gamma_estimate(problem).gamma
+    c_inf = float(np.max(problem.coeff_c(np.linspace(-1.0, 1.0, 4097))))
+    cap = np.full(h.size, gamma / (2.0 * c_inf * c_inf))
+    if k >= 2:
+        c_inv = estimate_c_inv(k)
+        cap = np.minimum(cap, h * h / (2.0 * eps * c_inv * c_inv))
+    else:
+        cap = np.minimum(cap, np.minimum(h * h / eps, (mesh.big_k + 1) / mesh.params.n_half))
+    capped = np.minimum(deltas, cap)
+    return StabilizationProfile(capped, c0, policy, capped < deltas)
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """
+    Banded system after Dirichlet elimination: dimension 2Nk-1, halfwidth k.
+    `bands` is diagonal-ordered storage, bands[k + i - j, j] = A[i, j].
+    """
+
+    bands: np.ndarray
+    rhs: np.ndarray
+    mesh: Mesh
+    order: int
+    family: str
+
+    def __post_init__(self):
+        self.bands.setflags(write=False)
+        self.rhs.setflags(write=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.rhs.size
+
+    @property
+    def halfwidth(self) -> int:
+        return self.order
+
+
+@dataclass(frozen=True)
+class DiscreteFunction:
+    """
+    Piecewise polynomial of order k over a mesh, stored as global nodal
+    coefficients (length 2Nk+1, boundary entries exactly 0 for solutions).
+    """
+
+    mesh: Mesh
+    order: int
+    family: str
+    coefficients: np.ndarray
+    residual: float = float("nan")
+
+    def __post_init__(self):
+        self.coefficients.setflags(write=False)
+        expected = self.mesh.n_intervals * self.order + 1
+        if self.coefficients.size != expected:
+            raise ValueError(
+                f"coefficient vector has length {self.coefficients.size}, expected {expected}"
+            )
+
+    def evaluate(self, x, d: int = 0) -> np.ndarray:
+        """Evaluate the d-th derivative (d in {0, 1, 2}) at points x."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        nodes, h, k = self.mesh.nodes, self.mesh.lengths, self.order
+        e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, h.size - 1)
+        t = (x - nodes[e]) / h[e]
+        tab = _ref_basis(k, self.family).tables(t)[d]  # (k+1, npts)
+        idx = e[:, None] * k + np.arange(k + 1)[None, :]
+        vals = np.sum(self.coefficients[idx] * tab.T, axis=1)
+        return vals / h[e] ** d if d else vals
+
+    __call__ = evaluate
+
+
+def global_nodes(mesh: Mesh, k: int, family: str) -> np.ndarray:
+    """Coordinates of all 2Nk+1 global Lagrange nodes, left to right."""
+    ref = _ref_basis(k, family).nodes
+    blocks = mesh.nodes[:-1, None] + mesh.lengths[:, None] * ref[None, :]
+    out = np.empty(mesh.n_intervals * k + 1)
+    out[:-1] = blocks[:, :k].ravel()
+    out[-1] = mesh.nodes[-1]
+    return out
+
+
+def _coefficient_samples(problem: Problem, mesh: Mesh, rule) -> tuple:
+    h = mesh.lengths
+    xq = mesh.nodes[:-1, None] + h[:, None] * rule.points[None, :]
+    aq = problem.coeff_a(xq)
+    cq = problem.coeff_c(xq)
+    fq = problem.rhs_f(xq)
+    finite = np.isfinite(aq) & np.isfinite(cq) & np.isfinite(fq)
+    if not finite.all():
+        e = int(np.argmin(finite.all(axis=1)))
+        raise AssemblyError(
+            f"non-finite coefficient or rhs value in element {e} "
+            f"(x in [{mesh.nodes[e]:.6g}, {mesh.nodes[e + 1]:.6g}])"
+        )
+    return xq, aq, cq, fq
+
+
+def _assemble(
+    problem: Problem,
+    mesh: Mesh,
+    k: int,
+    family: str,
+    quad_points: int,
+    deltas: Optional[np.ndarray],
+) -> LinearSystem:
+    if quad_points < k + 1:
+        raise ValueError(f"need quad_points >= k+1 = {k + 1}, got {quad_points}")
+    rule = gauss_rule(quad_points)
+    V, D1, D2 = _ref_basis(k, family).tables(rule.points)  # (k+1, q) each
+    h = mesh.lengths
+    nel = h.size
+    _, aq, cq, fq = _coefficient_samples(problem, mesh, rule)
+    wq = rule.weights[None, :] * h[:, None]  # (nel, q)
+    eps = problem.eps
+
+    # local Galerkin blocks, all elements at once
+    loc = eps * np.einsum("eq,iq,jq->eij", wq / (h * h)[:, None], D1, D1)
+    loc += np.einsum("eq,iq,jq->eij", wq * aq / h[:, None], V, D1)
+    loc += np.einsum("eq,iq,jq->eij", wq * cq, V, V)
+    rhs_loc = np.einsum("eq,iq->ei", wq * fq, V)
+
+    if deltas is not None and np.any(deltas != 0.0):
+        hq = h[:, None]
+        trial = aq[:, None, :] * D1[None, :, :] / hq[:, None, :] + cq[:, None, :] * V[None, :, :]
+        if k >= 2:  # -eps v'' vanishes identically for k = 1
+            trial = trial - eps * D2[None, :, :] / (hq * hq)[:, None, :]
+        test = aq[:, None, :] * D1[None, :, :] / hq[:, None, :]
+        dw = deltas[:, None] * wq
+        loc += np.einsum("eq,eiq,ejq->eij", dw, test, trial)
+        rhs_loc += np.einsum("eq,eq,eiq->ei", dw, fq, test)
+
+    ndof = nel * k + 1
+    bands = np.zeros((2 * k + 1, ndof))
+    rhs = np.zeros(ndof)
+    cols = np.arange(nel) * k
+    for ii in range(k + 1):
+        np.add.at(rhs, cols + ii, rhs_loc[:, ii])
+        for jj in range(k + 1):
+            bands[k + ii - jj, cols + jj] += loc[:, ii, jj]
+
+    # homogeneous Dirichlet: drop first and last row/column; in diagonal
+    # ordered storage that is a column slice, plus zeroing the slots that
+    # referenced the eliminated rows (solver ignores them, dumps should not)
+    bands = bands[:, 1:-1].copy()
+    dim = ndof - 2
+    rows = np.arange(2 * k + 1)[:, None] - k + np.arange(dim)[None, :]
+    bands[(rows < 0) | (rows >= dim)] = 0.0
+    return LinearSystem(bands, rhs[1:-1].copy(), mesh, k, family)
+
+
+def assemble_galerkin(
+    problem: Problem, mesh: Mesh, k: int, family: str = "uniform", quad_points: int = 0
+) -> LinearSystem:
+    """
+    Assemble B(v, w) = (eps v', w') + (a v', w) + (c v, w) and rhs (f, w)
+    with per-element Gauss quadrature (default k+3 points).
+    """
+    return _assemble(problem, mesh, k, family, quad_points or k + 3, None)
+
+
+def assemble_sdfem(
+    problem: Problem,
+    mesh: Mesh,
+    k: int,
+    family: str = "uniform",
+    quad_points: int = 0,
+    stab: Optional[StabilizationProfile] = None,
+) -> LinearSystem:
+    """
+    Galerkin plus the streamline-diffusion terms
+    sum_i delta_i (-eps v'' + a v' + c v, a w')_i on the matrix and
+    sum_i delta_i (f, a w')_i on the right-hand side.
+    """
+    if stab is None:
+        raise ValueError("assemble_sdfem needs a StabilizationProfile")
+    if stab.deltas.size != mesh.n_intervals:
+        raise ValueError("stabilization profile does not match the mesh")
+    return _assemble(problem, mesh, k, family, quad_points or k + 3, stab.deltas)
+
+
+def _band_matvec(bands: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    n = x.size
+    y = np.zeros(n)
+    for o in range(-k, k + 1):
+        if o >= 0:
+            y[o:n] += bands[k + o, : n - o] * x[: n - o]
+        else:
+            y[: n + o] += bands[k + o, -o:] * x[-o:]
+    return y
+
+
+def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector product with the eliminated (interior) matrix."""
+    return _band_matvec(system.bands, system.halfwidth, np.asarray(x, dtype=float))
+
+
+def _band_inf_norm(bands: np.ndarray, k: int, n: int) -> float:
+    rowsum = np.zeros(n)
+    for o in range(-k, k + 1):
+        if o >= 0:
+            rowsum[o:n] += np.abs(bands[k + o, : n - o])
+        else:
+            rowsum[: n + o] += np.abs(bands[k + o, -o:])
+    return float(np.max(rowsum)) if n else 0.0
+
+
+def solve_banded(system: LinearSystem) -> DiscreteFunction:
+    """
+    Solve by banded LU with partial pivoting and verify the residual
+    contract ||Ax - b|| / (||A|| ||x|| + ||b||) <= 1e-10 (inf norms); the
+    achieved residual is recorded on the returned function.
+    """
+    k = system.halfwidth
+    try:
+        sol = scipy.linalg.solve_banded((k, k), system.bands, system.rhs)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverError(f"banded LU failed: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SolverError("banded LU produced non-finite values (singular system?)")
+    res = np.max(np.abs(apply_system(system, sol) - system.rhs))
+    scale = _band_inf_norm(system.bands, k, system.dimension) * np.max(
+        np.abs(sol), initial=0.0
+    ) + np.max(np.abs(system.rhs), initial=0.0)
+    rel = res / scale if scale else 0.0
+    if rel > RESIDUAL_TOL:
+        raise SolverError(
+            f"residual contract violated: relative residual {rel:.3e} > {RESIDUAL_TOL}; "
+            "the system is likely ill-conditioned"
+        )
+    coeffs = np.zeros(system.dimension + 2)
+    coeffs[1:-1] = sol
+    return DiscreteFunction(system.mesh, system.order, system.family, coeffs, rel)
+
+
+def dump_system(system: LinearSystem, path) -> None:
+    """
+    Text dump for cross-implementation diffing: dimension and halfwidth,
+    one line per band row (offset then entries), then the rhs line.
+    """
+    try:
+        with open(path, "w") as fh:
+            fh.write(f"dimension {system.dimension}\n")
+            fh.write(f"halfwidth {system.halfwidth}\n")
+            k = system.halfwidth
+            for r in range(2 * k + 1):
+                entries = " ".join(f"{v:.17g}" for v in system.bands[r])
+                fh.write(f"band {k - r} {entries}\n")
+            fh.write("rhs " + " ".join(f"{v:.17g}" for v in system.rhs) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write system dump to {path}: {exc}") from exc

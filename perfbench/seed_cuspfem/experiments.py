@@ -1,0 +1,595 @@
+"""
+Sweep engine and command-line interface.
+
+Reproduces the standard experiment layouts: convergence tables with rates
+r = (ln E_N - ln E_2N)/ln 2, eps-sweeps over many perturbation parameters,
+error-to-bound ratio tables energy * 100 * (N/(K+1))^k, and point samplers
+of solution/error curves for external plotting.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from typing import Optional
+
+import numpy as np
+
+from .assembly import (
+    AssemblyError,
+    SolverError,
+    assemble_galerkin,
+    assemble_sdfem,
+    compute_deltas,
+    solve_banded,
+)
+from .mesh import MeshConstructionError, MeshParams, build_mesh, mesh_header, save_mesh, validate_mesh
+from .norms import QuadSpec, error_norms
+from .problem import make_problem, problem_names
+
+METHODS = ("fem", "sdfem")
+FORMATS = ("csv", "markdown")
+
+_CASE_ERRORS = (MeshConstructionError, AssemblyError, SolverError, ValueError)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """One experiment description; lists are crossed (eps x k x N)."""
+
+    problem: str = "sun-stynes-example"
+    lam: float = 0.25
+    eps_list: tuple[float, ...] = (1e-10,)
+    n_list: tuple[int, ...] = (128, 256, 512, 1024)
+    k_list: tuple[int, ...] = (1,)
+    method: str = "fem"
+    family: str = "uniform"
+    c0: float = 1.0
+    delta_policy: str = "standard"
+    quad_assembly: int = 0  # 0 selects the default k + 3
+    quad_error: QuadSpec = QuadSpec()
+    out: Optional[str] = None
+    fmt: str = "csv"
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
+        if list(self.n_list) != sorted(set(self.n_list)):
+            raise ValueError("n_list must be strictly ascending")
+        if not (self.eps_list and self.n_list and self.k_list):
+            raise ValueError("eps_list, n_list and k_list must be nonempty")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+
+
+@dataclass(frozen=True)
+class ConvergenceRow:
+    """One (eps, k, N) case; rates are set only when the next row in the
+    same (eps, k) group has exactly doubled N."""
+
+    eps: float
+    n_half: int
+    order: int
+    big_k: Optional[int]
+    l2: float
+    energy: float
+    sd: float
+    weighted_xdp: float
+    l2_rate: Optional[float] = None
+    energy_rate: Optional[float] = None
+    sd_rate: Optional[float] = None
+    weighted_xdp_rate: Optional[float] = None
+    residual_ok: bool = False
+    mesh_ok: bool = False
+    error: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Table:
+    columns: tuple[str, ...]
+    rows: tuple[tuple, ...]
+
+
+def convergence_rate(e_coarse: float, e_fine: float) -> float:
+    """r = (ln E_N - ln E_2N) / ln 2 from full-precision errors."""
+    if not (e_coarse > 0.0 and e_fine > 0.0) or not (
+        math.isfinite(e_coarse) and math.isfinite(e_fine)
+    ):
+        return math.nan
+    return (math.log(e_coarse) - math.log(e_fine)) / math.log(2.0)
+
+
+def _run_case(config: SweepConfig, eps: float, n: int, k: int) -> ConvergenceRow:
+    nan = math.nan
+    try:
+        prob = make_problem(config.problem, eps, config.lam)
+        mesh = build_mesh(MeshParams(eps, n, k, config.lam))
+        diag = validate_mesh(mesh)
+        stab = None
+        if config.method == "sdfem":
+            stab = compute_deltas(mesh, eps, config.c0, config.delta_policy, prob, k)
+            system = assemble_sdfem(prob, mesh, k, config.family, config.quad_assembly, stab)
+        else:
+            system = assemble_galerkin(prob, mesh, k, config.family, config.quad_assembly)
+        fn = solve_banded(system)
+        report = error_norms(fn, prob, mesh, stab, config.quad_error)
+    except _CASE_ERRORS as exc:
+        return ConvergenceRow(eps, n, k, None, nan, nan, nan, nan, error=str(exc))
+    return ConvergenceRow(
+        eps=eps,
+        n_half=n,
+        order=k,
+        big_k=mesh.big_k,
+        l2=report.l2,
+        energy=report.energy,
+        sd=report.sd,
+        weighted_xdp=report.weighted_xdp,
+        residual_ok=bool(fn.residual <= 1e-10),
+        mesh_ok=diag.ok,
+    )
+
+
+def _run_cases(config: SweepConfig, cases: list[tuple[float, int, int]]) -> list[ConvergenceRow]:
+    if config.workers == 1:
+        return [_run_case(config, *case) for case in cases]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(lambda case: _run_case(config, *case), cases))
+
+
+def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
+    """
+    Solve every (eps, k, N) case and attach rates between consecutive
+    doubled N within each (eps, k) group.  Per-case failures land in the
+    row's `error` field and leave the other rows untouched.
+    """
+    cases = [(eps, n, k) for eps in config.eps_list for k in config.k_list for n in config.n_list]
+    rows = _run_cases(config, cases)
+    out: list[ConvergenceRow] = []
+    group = len(config.n_list)
+    for g in range(0, len(rows), group):
+        chunk = list(rows[g : g + group])
+        for i in range(len(chunk) - 1):
+            cur, nxt = chunk[i], chunk[i + 1]
+            if nxt.n_half == 2 * cur.n_half and cur.error is None and nxt.error is None:
+                chunk[i] = replace(
+                    cur,
+                    l2_rate=convergence_rate(cur.l2, nxt.l2),
+                    energy_rate=convergence_rate(cur.energy, nxt.energy),
+                    sd_rate=convergence_rate(cur.sd, nxt.sd),
+                    weighted_xdp_rate=convergence_rate(cur.weighted_xdp, nxt.weighted_xdp),
+                )
+        out.extend(chunk)
+    return out
+
+
+CONVERGENCE_COLUMNS = (
+    "eps",
+    "N",
+    "K",
+    "k",
+    "l2",
+    "energy",
+    "sd",
+    "weighted_xdp",
+    "l2_rate",
+    "energy_rate",
+    "sd_rate",
+    "weighted_xdp_rate",
+    "residual_ok",
+    "mesh_ok",
+    "error",
+)
+
+
+def convergence_table(rows: list[ConvergenceRow]) -> Table:
+    data = tuple(
+        (
+            r.eps,
+            r.n_half,
+            r.big_k,
+            r.order,
+            r.l2,
+            r.energy,
+            r.sd,
+            r.weighted_xdp,
+            r.l2_rate,
+            r.energy_rate,
+            r.sd_rate,
+            r.weighted_xdp_rate,
+            r.residual_ok,
+            r.mesh_ok,
+            r.error,
+        )
+        for r in rows
+    )
+    return Table(CONVERGENCE_COLUMNS, data)
+
+
+def run_ratio_table(config: SweepConfig) -> Table:
+    """
+    Energy error scaled by the predicted decay: entries
+    energy * 100 * (N/(K+1))^k.  Stable entries across N indicate the
+    predicted rate is sharp.
+    """
+    rows = run_convergence(config)
+    data = []
+    for r in rows:
+        if r.error is None:
+            ratio = r.energy * 100.0 * (r.n_half / (r.big_k + 1)) ** r.order
+        else:
+            ratio = math.nan
+        data.append((r.eps, r.n_half, r.big_k, r.order, r.energy, ratio, r.error))
+    return Table(("eps", "N", "K", "k", "energy", "ratio", "error"), tuple(data))
+
+
+def sample_solution(config: SweepConfig, resolution: int = 1001) -> Table:
+    """
+    Evaluate the discrete and exact solutions at `resolution` equispaced
+    points merged with all mesh nodes.  Needs a single (eps, N, k) case.
+    """
+    if len(config.eps_list) != 1 or len(config.n_list) != 1 or len(config.k_list) != 1:
+        raise ValueError("sample_solution needs exactly one eps, one N and one k")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    eps, n, k = config.eps_list[0], config.n_list[0], config.k_list[0]
+    prob = make_problem(config.problem, eps, config.lam)
+    if not prob.has_exact:
+        raise ValueError("sample_solution needs a problem with exact solution")
+    mesh = build_mesh(MeshParams(eps, n, k, config.lam))
+    stab = None
+    if config.method == "sdfem":
+        stab = compute_deltas(mesh, eps, config.c0, config.delta_policy, prob, k)
+        system = assemble_sdfem(prob, mesh, k, config.family, config.quad_assembly, stab)
+    else:
+        system = assemble_galerkin(prob, mesh, k, config.family, config.quad_assembly)
+    fn = solve_banded(system)
+    xs = np.union1d(np.linspace(-1.0, 1.0, resolution), mesh.nodes)
+    uN = fn.evaluate(xs)
+    u = prob.exact(xs)
+    rows = tuple(zip(xs.tolist(), uN.tolist(), u.tolist(), (uN - u).tolist()))
+    return Table(("x", "u_N", "u", "err"), rows)
+
+
+def _fmt_cell(name: str, value, fmt: str) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if math.isnan(v):
+        return "nan"
+    if fmt == "csv":
+        return f"{v:.17g}"
+    # markdown: 3 significant digits on errors, conventional fixed forms on
+    # rates and ratios, compact eps
+    if name.endswith("_rate"):
+        return f"{v:.3f}"
+    if name == "ratio":
+        return f"{v:.2f}"
+    if name == "eps":
+        return f"{v:g}"
+    return f"{v:.2e}"
+
+
+def emit(table: Table, fmt: str = "csv", path=None) -> str:
+    """
+    Render a table as CSV (17 significant digits) or markdown (3
+    significant digits); write it to `path` when given.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    lines = []
+    if fmt == "csv":
+        lines.append(",".join(table.columns))
+        for row in table.rows:
+            lines.append(",".join(_fmt_cell(c, v, fmt) for c, v in zip(table.columns, row)))
+    else:
+        lines.append("| " + " | ".join(table.columns) + " |")
+        lines.append("|" + "|".join(" --- " for _ in table.columns) + "|")
+        for row in table.rows:
+            cells = (_fmt_cell(c, v, fmt) for c, v in zip(table.columns, row))
+            lines.append("| " + " | ".join(cells) + " |")
+    text = "\n".join(lines) + "\n"
+    if path is not None:
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write table to {path}: {exc}") from exc
+    return text
+
+
+# ---------------------------------------------------------------------------
+# command-line interface
+
+
+class _Parser(argparse.ArgumentParser):
+    # config errors exit with 1; argparse's default of 2 is reserved for
+    # per-row failures
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(",") if p)
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",") if p)
+
+
+_EPS_SWEEP_GRID = (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
+
+_DEFAULTS = {
+    "problem": "sun-stynes-example",
+    "lambda": 0.25,
+    "eps": (1e-10,),
+    "n": (128, 256, 512, 1024),
+    "k": (1,),
+    "method": "fem",
+    "family": "uniform",
+    "c0": 1.0,
+    "delta_policy": "standard",
+    "quad_assembly": 0,
+    "quad_error_points": 5,
+    "quad_error_panels": 8,
+    "out": None,
+    "format": "csv",
+    "workers": 1,
+    "resolution": 1001,
+}
+
+_FAMILY_NAMES = {"uniform": "uniform", "lobatto": "gauss-lobatto", "gauss-lobatto": "gauss-lobatto"}
+
+
+def _add_common(sp) -> None:
+    sp.add_argument("--config", help="JSON file with the same keys as the flags; flags override")
+    sp.add_argument("--problem", choices=problem_names())
+    sp.add_argument("--eps", type=_floats, metavar="E1[,E2,...]")
+    sp.add_argument("--lambda", dest="lam", type=float, metavar="LAM")
+    sp.add_argument("--n", type=_ints, metavar="N1[,N2,...]", help="intervals per half-mesh")
+    sp.add_argument("--k", type=_ints, metavar="K1[,K2,...]", help="polynomial orders")
+    sp.add_argument("--method", choices=METHODS)
+    sp.add_argument("--family", choices=("uniform", "lobatto"))
+    sp.add_argument("--c0", type=float)
+    sp.add_argument("--delta-policy", choices=("standard", "theorem-capped"))
+    sp.add_argument("--quad-assembly", type=int, help="Gauss points per element (0 = k+3)")
+    sp.add_argument("--quad-error-points", type=int)
+    sp.add_argument("--quad-error-panels", type=int)
+    sp.add_argument("--out", help="output file path")
+    sp.add_argument("--format", choices=FORMATS)
+    sp.add_argument("--workers", type=int)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(prog="cuspfem", description="layer-adapted FEM/SDFEM experiment driver")
+    sub = p.add_subparsers(dest="command", required=True)
+    specs = (
+        ("mesh", "build and validate one mesh; print its header"),
+        ("solve", "solve one case and report its error norms"),
+        ("converge", "convergence table with rates over an N sweep"),
+        ("eps-sweep", "error table over a grid of eps values"),
+        ("ratio", "scaled-error ratio table energy*100*(N/(K+1))^k"),
+        ("sample", "sample discrete/exact solution for plotting"),
+    )
+    for name, help_text in specs:
+        sp = sub.add_parser(name, help=help_text)
+        _add_common(sp)
+        if name == "sample":
+            sp.add_argument("--resolution", type=int, help="equispaced sample points")
+    return p
+
+
+def _merge_settings(args: argparse.Namespace) -> dict:
+    settings = dict(_DEFAULTS)
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                file_conf = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+        unknown = set(file_conf) - set(_DEFAULTS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        settings.update(file_conf)
+    flag_to_key = {"lam": "lambda", "fmt": "format"}
+    for flag in (
+        "problem lam eps n k method family c0 delta_policy quad_assembly "
+        "quad_error_points quad_error_panels out format workers resolution".split()
+    ):
+        attr = "lam" if flag == "lam" else flag
+        if hasattr(args, attr) and getattr(args, attr) is not None:
+            settings[flag_to_key.get(flag, flag)] = getattr(args, attr)
+    for key in ("eps",):
+        if np.isscalar(settings[key]):
+            settings[key] = (float(settings[key]),)
+        else:
+            settings[key] = tuple(float(v) for v in settings[key])
+    for key in ("n", "k"):
+        if np.isscalar(settings[key]):
+            settings[key] = (int(settings[key]),)
+        else:
+            settings[key] = tuple(int(v) for v in settings[key])
+    settings["family"] = _FAMILY_NAMES.get(settings["family"], settings["family"])
+    return settings
+
+
+def _config_from(settings: dict) -> SweepConfig:
+    return SweepConfig(
+        problem=settings["problem"],
+        lam=float(settings["lambda"]),
+        eps_list=settings["eps"],
+        n_list=settings["n"],
+        k_list=settings["k"],
+        method=settings["method"],
+        family=settings["family"],
+        c0=float(settings["c0"]),
+        delta_policy=settings["delta_policy"],
+        quad_assembly=int(settings["quad_assembly"]),
+        quad_error=QuadSpec(int(settings["quad_error_points"]), int(settings["quad_error_panels"])),
+        out=settings["out"],
+        fmt=settings["format"],
+        workers=int(settings["workers"]),
+    )
+
+
+def _require_single(settings: dict, verb: str) -> tuple[float, int, int]:
+    if len(settings["eps"]) != 1 or len(settings["n"]) != 1 or len(settings["k"]) != 1:
+        raise ValueError(f"{verb} needs exactly one --eps, one --n and one --k")
+    return settings["eps"][0], settings["n"][0], settings["k"][0]
+
+
+def _cmd_mesh(settings: dict) -> int:
+    eps, n, k = _require_single(settings, "mesh")
+    try:
+        mesh = build_mesh(MeshParams(eps, n, k, float(settings["lambda"])))
+    except MeshConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    diag = validate_mesh(mesh)
+    print(json.dumps(mesh_header(mesh)))
+    if settings["out"]:
+        save_mesh(mesh, settings["out"])
+    if not diag.ok:
+        for v in diag.violations:
+            print(f"violation: {v}", file=sys.stderr)
+        return 2
+    print(f"valid: {mesh.n_intervals} intervals, max length {diag.max_length:.6g}")
+    return 0
+
+
+def _cmd_table(settings: dict, make_table) -> int:
+    config = _config_from(settings)
+    table = make_table(config)
+    text = emit(table, config.fmt, config.out)
+    if config.out is None:
+        print(text, end="")
+    failures = 0
+    if "error" in table.columns:
+        idx = table.columns.index("error")
+        failures = sum(1 for row in table.rows if row[idx])
+        for row in table.rows:
+            if row[idx]:
+                print(f"row failure: {row[idx]}", file=sys.stderr)
+    return 2 if failures else 0
+
+
+def _cmd_converge(settings: dict) -> int:
+    return _cmd_table(settings, lambda cfg: convergence_table(run_convergence(cfg)))
+
+
+def _cmd_eps_sweep(settings: dict) -> int:
+    if settings["eps"] == _DEFAULTS["eps"]:
+        settings["eps"] = _EPS_SWEEP_GRID
+    if settings["n"] == _DEFAULTS["n"]:
+        settings["n"] = (512, 1024)
+    if settings["k"] == _DEFAULTS["k"]:
+        settings["k"] = (1, 2, 3, 4)
+    config = _config_from(settings)
+    rows = run_convergence(config)
+    norm = "sd" if config.method == "sdfem" else "energy"
+    columns = ["eps"] + [f"k{k}_n{n}" for k in config.k_list for n in config.n_list]
+    by_case = {(r.eps, r.order, r.n_half): r for r in rows}
+    data = []
+    failures = []
+    for eps in config.eps_list:
+        cells: list = [eps]
+        for k in config.k_list:
+            for n in config.n_list:
+                r = by_case[(eps, k, n)]
+                if r.error is not None:
+                    failures.append(r.error)
+                cells.append(getattr(r, norm))
+        data.append(tuple(cells))
+    table = Table(tuple(columns), tuple(data))
+    text = emit(table, config.fmt, config.out)
+    if config.out is None:
+        print(text, end="")
+    for msg in failures:
+        print(f"row failure: {msg}", file=sys.stderr)
+    return 2 if failures else 0
+
+
+def _cmd_sample(settings: dict) -> int:
+    eps, n, k = _require_single(settings, "sample")
+    config = _config_from(settings)
+    try:
+        table = sample_solution(config, int(settings["resolution"]))
+    except _CASE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    text = emit(table, config.fmt, config.out)
+    if config.out is None:
+        print(text, end="")
+    return 0
+
+
+def _cmd_solve(settings: dict) -> int:
+    eps, n, k = _require_single(settings, "solve")
+    config = _config_from(settings)
+    rows = run_convergence(config)
+    row = rows[0]
+    if row.error is not None:
+        print(f"error: {row.error}", file=sys.stderr)
+        return 2
+    table = Table(
+        ("eps", "N", "k", "family", "policy", "l2", "energy", "sd", "weighted_xdp"),
+        (
+            (
+                row.eps,
+                row.n_half,
+                row.order,
+                config.family,
+                config.delta_policy if config.method == "sdfem" else "none",
+                row.l2,
+                row.energy,
+                row.sd,
+                row.weighted_xdp,
+            ),
+        ),
+    )
+    text = emit(table, config.fmt, config.out)
+    if config.out is None:
+        print(text, end="")
+    return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        settings = _merge_settings(args)
+        if args.command == "mesh":
+            return _cmd_mesh(settings)
+        if args.command == "solve":
+            return _cmd_solve(settings)
+        if args.command == "converge":
+            return _cmd_converge(settings)
+        if args.command == "eps-sweep":
+            return _cmd_eps_sweep(settings)
+        if args.command == "ratio":
+            return _cmd_table(settings, run_ratio_table)
+        if args.command == "sample":
+            return _cmd_sample(settings)
+        raise ValueError(f"unhandled command {args.command!r}")
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,237 @@
+"""
+Continuous problem data for -eps u'' + a u' + c u = f on (-1, 1) with
+u(-1) = u(1) = 0, where a(x) = -x b(x) changes sign at the turning point
+x = 0 and the solution carries a cusp-type interior layer there.
+
+Includes the manufactured test problem with exact solution
+u = (x^2+eps)^(lam/2) + x (x^2+eps)^((lam-1)/2) minus its linear boundary
+correction, plus a registry for CLI selection of user-defined problems.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+import scipy.optimize
+
+Evaluator = Callable[[np.ndarray], np.ndarray]
+
+_VALIDATION_GRID = np.linspace(-1.0, 1.0, 257)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """
+    Coefficients and right-hand side, all vectorized evaluators on [-1, 1].
+
+    exact, exact_dx, exact_dxx optionally hold the solution and its first
+    two derivatives; coeff_a_dx optionally holds a' in closed form (it is
+    otherwise differenced where needed).  lambda_bar = c(0)/|a'(0)| governs
+    the layer strength.
+    """
+
+    eps: float
+    coeff_a: Evaluator
+    coeff_b: Evaluator
+    coeff_c: Evaluator
+    rhs_f: Evaluator
+    lambda_bar: float
+    exact: Optional[Evaluator] = None
+    exact_dx: Optional[Evaluator] = None
+    exact_dxx: Optional[Evaluator] = None
+    coeff_a_dx: Optional[Evaluator] = None
+    name: str = "custom"
+
+    def __post_init__(self):
+        if not 0.0 < self.eps <= 1.0:
+            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        x = _VALIDATION_GRID
+        a, b, c = self.coeff_a(x), self.coeff_b(x), self.coeff_c(x)
+        if np.max(np.abs(a + x * b)) > 1e-12 * max(1.0, np.max(np.abs(a))):
+            raise ValueError("coefficient structure violated: a(x) != -x b(x) on grid")
+        if np.min(b) <= 0.0:
+            raise ValueError("coefficient b must be positive on [-1, 1]")
+        if np.min(c) < 0.0 or self.coeff_c(np.array([0.0]))[0] <= 0.0:
+            raise ValueError("need c >= 0 on [-1, 1] and c(0) > 0")
+        exact_parts = (self.exact, self.exact_dx, self.exact_dxx)
+        if any(p is not None for p in exact_parts) and None in exact_parts:
+            raise ValueError("register the exact solution with all of u, u', u''")
+
+    @property
+    def has_exact(self) -> bool:
+        return self.exact is not None
+
+
+def make_test_problem(eps: float, lam: float) -> Problem:
+    """
+    Manufactured problem -eps u'' - x(1+x^2) u' + lam(1+x^3) u = f with
+
+        u(x) = (x^2+eps)^(lam/2) - (1+eps)^(lam/2)
+               + x [ (x^2+eps)^((lam-1)/2) - (1+eps)^((lam-1)/2) ],
+
+    grouped so u(+-1) = 0 holds exactly in floating point.  u' and u'' are
+    hand-differentiated; f is synthesized from them, which keeps problem and
+    exact solution consistent by construction.  lambda_bar = lam.
+    """
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    if lam <= 0.0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    e1 = 1.0 + eps
+    # boundary constants, reused so the cancellation at x = +-1 is exact
+    k0 = e1 ** (lam / 2.0)
+    k1 = e1 ** ((lam - 1.0) / 2.0)
+
+    def a(x):
+        return -x * (1.0 + x * x)
+
+    def a_dx(x):
+        return -(1.0 + 3.0 * x * x)
+
+    def b(x):
+        return 1.0 + x * x
+
+    def c(x):
+        return lam * (1.0 + x ** 3)
+
+    def u(x):
+        w = x * x + eps
+        return (w ** (lam / 2.0) - k0) + x * (w ** ((lam - 1.0) / 2.0) - k1)
+
+    def du(x):
+        w = x * x + eps
+        return (
+            lam * x * w ** ((lam - 2.0) / 2.0)
+            + (w ** ((lam - 1.0) / 2.0) - k1)
+            + (lam - 1.0) * x * x * w ** ((lam - 3.0) / 2.0)
+        )
+
+    def ddu(x):
+        w = x * x + eps
+        return (
+            lam * w ** ((lam - 2.0) / 2.0)
+            + lam * (lam - 2.0) * x * x * w ** ((lam - 4.0) / 2.0)
+            + 3.0 * (lam - 1.0) * x * w ** ((lam - 3.0) / 2.0)
+            + (lam - 1.0) * (lam - 3.0) * x ** 3 * w ** ((lam - 5.0) / 2.0)
+        )
+
+    def f(x):
+        return -eps * ddu(x) + a(x) * du(x) + c(x) * u(x)
+
+    return Problem(
+        eps=eps,
+        coeff_a=a,
+        coeff_b=b,
+        coeff_c=c,
+        rhs_f=f,
+        lambda_bar=lam,
+        exact=u,
+        exact_dx=du,
+        exact_dxx=ddu,
+        coeff_a_dx=a_dx,
+        name="sun-stynes-example",
+    )
+
+
+@dataclass(frozen=True)
+class GammaEstimate:
+    """Lower bound gamma for (c - a'/2) over [-1, 1] and where it is attained."""
+
+    gamma: float
+    argmin: float
+
+
+def _a_prime(problem: Problem) -> Evaluator:
+    if problem.coeff_a_dx is not None:
+        return problem.coeff_a_dx
+    a = problem.coeff_a
+
+    def fd4(x):
+        # fourth-order difference; the stencil is recentered near +-1 so all
+        # evaluation points stay inside the domain
+        h = 1e-4
+        x = np.asarray(x, dtype=float)
+        xc = np.clip(x, -1.0 + 2 * h, 1.0 - 2 * h)
+        d = (a(xc - 2 * h) - 8 * a(xc - h) + 8 * a(xc + h) - a(xc + 2 * h)) / (12 * h)
+        # correct for the recentering to second order: a'(x) ~ a'(xc) + a''(xc)(x-xc)
+        dd = (a(xc - h) - 2 * a(xc) + a(xc + h)) / (h * h)
+        return d + dd * (x - xc)
+
+    return fd4
+
+
+def gamma_estimate(problem: Problem, grid_size: int = 2001) -> GammaEstimate:
+    """
+    Minimum of (c - a'/2) over a uniform grid, refined around the grid
+    argmin by golden-section search.  Raises if the estimate is not
+    positive, since the energy-norm analysis needs gamma > 0.
+    """
+    if grid_size < 1000:
+        raise ValueError(f"grid_size must be >= 1000, got {grid_size}")
+    ap = _a_prime(problem)
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return problem.coeff_c(x) - 0.5 * ap(x)
+
+    x = np.linspace(-1.0, 1.0, grid_size)
+    vals = g(x)
+    i = int(np.argmin(vals))
+    gamma, argmin = float(vals[i]), float(x[i])
+    if 0 < i < grid_size - 1:
+        try:
+            res = scipy.optimize.minimize_scalar(
+                lambda t: float(g(t)), bracket=(x[i - 1], x[i], x[i + 1]), method="golden"
+            )
+        except ValueError:  # flat bracket; the grid value stands
+            res = None
+        if res is not None and res.fun < gamma:
+            gamma, argmin = float(res.fun), float(res.x)
+    if gamma <= 0.0:
+        raise ValueError(f"coercivity condition violated: min(c - a'/2) = {gamma} <= 0")
+    return GammaEstimate(gamma, argmin)
+
+
+def layer_bound_profile(problem: Problem, i: int, lam: float) -> Evaluator:
+    """
+    Shape x -> 1 + (sqrt(eps) + |x|)^(lam - i) bounding |u^(i)| up to a
+    constant; used to sanity-check derivative growth toward the layer.
+    """
+    if not problem.has_exact:
+        raise ValueError("layer_bound_profile needs a problem with exact solution")
+    if not 0 <= i <= 2:
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {i}")
+    root_eps = np.sqrt(problem.eps)
+
+    def bound(x):
+        return 1.0 + (root_eps + np.abs(x)) ** (lam - i)
+
+    return bound
+
+
+_REGISTRY: dict[str, Callable[[float, float], Problem]] = {
+    "sun-stynes-example": make_test_problem,
+}
+
+
+def register_problem(name: str, factory: Callable[[float, float], Problem]) -> None:
+    """Add a (eps, lam) -> Problem factory under a CLI-selectable name."""
+    if name in _REGISTRY:
+        raise ValueError(f"problem {name!r} already registered")
+    _REGISTRY[name] = factory
+
+
+def make_problem(name: str, eps: float, lam: float) -> Problem:
+    try:
+        factory = _REGISTRY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown problem {name!r}; registered: {sorted(_REGISTRY)}"
+        ) from None
+    return factory(eps, lam)
+
+
+def problem_names() -> tuple[str, ...]:
+    return tuple(sorted(_REGISTRY))
