@@ -15,7 +15,6 @@ from .assembly import (
     assemble_galerkin,
     assemble_sdfem,
     compute_deltas,
-    dump_system,
     global_nodes,
     solve_banded,
 )
@@ -23,7 +22,6 @@ from .basis import (
     QuadratureRule,
     ReferenceBasis,
     estimate_c_inv,
-    eval_basis,
     gauss_rule,
     reference_nodes,
 )
@@ -55,7 +53,6 @@ from .norms import (
     ErrorReport,
     QuadSpec,
     error_norms,
-    error_report_csv_row,
     interpolate,
     sd_distance,
 )
@@ -63,7 +60,6 @@ from .problem import (
     GammaEstimate,
     Problem,
     gamma_estimate,
-    layer_bound_profile,
     make_problem,
     make_test_problem,
     problem_names,
@@ -100,18 +96,14 @@ __all__ = [
     "compute_sigma",
     "convergence_rate",
     "convergence_table",
-    "dump_system",
     "emit",
     "error_norms",
     "ERROR_REPORT_COLUMNS",
-    "error_report_csv_row",
     "estimate_c_inv",
-    "eval_basis",
     "gamma_estimate",
     "gauss_rule",
     "global_nodes",
     "interpolate",
-    "layer_bound_profile",
     "make_problem",
     "make_test_problem",
     "mesh_header",

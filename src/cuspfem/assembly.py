@@ -316,20 +316,3 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     coeffs[1:-1] = sol
     return DiscreteFunction(system.mesh, system.order, system.family, coeffs, rel)
 
-
-def dump_system(system: LinearSystem, path) -> None:
-    """
-    Text dump for cross-implementation diffing: dimension and halfwidth,
-    one line per band row (offset then entries), then the rhs line.
-    """
-    try:
-        with open(path, "w") as fh:
-            fh.write(f"dimension {system.dimension}\n")
-            fh.write(f"halfwidth {system.halfwidth}\n")
-            k = system.halfwidth
-            for r in range(2 * k + 1):
-                entries = " ".join(f"{v:.17g}" for v in system.bands[r])
-                fh.write(f"band {k - r} {entries}\n")
-            fh.write("rhs " + " ".join(f"{v:.17g}" for v in system.rhs) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write system dump to {path}: {exc}") from exc

@@ -100,17 +100,6 @@ class ReferenceBasis:
         return V, D1, D2
 
 
-def eval_basis(basis: ReferenceBasis, t, d: int = 0) -> np.ndarray:
-    """
-    Values of the d-th derivative (d in {0, 1, 2}) of all k+1 basis
-    functions at t. Scalar t gives shape (k+1,), array t gives (k+1, nt).
-    """
-    if d not in (0, 1, 2):
-        raise ValueError(f"derivative order {d} unsupported (use 0, 1 or 2)")
-    tab = basis.tables(t)[d]
-    return tab[:, 0] if np.ndim(t) == 0 else tab
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Quadrature points and positive weights on [0, 1]; weights sum to 1."""

@@ -28,7 +28,7 @@ from .assembly import (
     solve_banded,
 )
 from .mesh import MeshConstructionError, MeshParams, build_mesh, mesh_header, save_mesh, validate_mesh
-from .norms import QuadSpec, error_norms
+from .norms import ERROR_REPORT_COLUMNS, QuadSpec, error_norms
 from .problem import make_problem, problem_names
 
 METHODS = ("fem", "sdfem")
@@ -106,19 +106,25 @@ def convergence_rate(e_coarse: float, e_fine: float) -> float:
     return (math.log(e_coarse) - math.log(e_fine)) / math.log(2.0)
 
 
+def _solve(config: SweepConfig, prob, mesh, eps: float, k: int):
+    """Assemble and solve one case; returns (stabilization profile or None,
+    discrete solution)."""
+    stab = None
+    if config.method == "sdfem":
+        stab = compute_deltas(mesh, eps, config.c0, config.delta_policy, prob, k)
+        system = assemble_sdfem(prob, mesh, k, config.family, config.quad_assembly, stab)
+    else:
+        system = assemble_galerkin(prob, mesh, k, config.family, config.quad_assembly)
+    return stab, solve_banded(system)
+
+
 def _run_case(config: SweepConfig, eps: float, n: int, k: int) -> ConvergenceRow:
     nan = math.nan
     try:
         prob = make_problem(config.problem, eps, config.lam)
         mesh = build_mesh(MeshParams(eps, n, k, config.lam))
         diag = validate_mesh(mesh)
-        stab = None
-        if config.method == "sdfem":
-            stab = compute_deltas(mesh, eps, config.c0, config.delta_policy, prob, k)
-            system = assemble_sdfem(prob, mesh, k, config.family, config.quad_assembly, stab)
-        else:
-            system = assemble_galerkin(prob, mesh, k, config.family, config.quad_assembly)
-        fn = solve_banded(system)
+        stab, fn = _solve(config, prob, mesh, eps, k)
         report = error_norms(fn, prob, mesh, stab, config.quad_error)
     except _CASE_ERRORS as exc:
         return ConvergenceRow(eps, n, k, None, nan, nan, nan, nan, error=str(exc))
@@ -243,13 +249,7 @@ def sample_solution(config: SweepConfig, resolution: int = 1001) -> Table:
     if not prob.has_exact:
         raise ValueError("sample_solution needs a problem with exact solution")
     mesh = build_mesh(MeshParams(eps, n, k, config.lam))
-    stab = None
-    if config.method == "sdfem":
-        stab = compute_deltas(mesh, eps, config.c0, config.delta_policy, prob, k)
-        system = assemble_sdfem(prob, mesh, k, config.family, config.quad_assembly, stab)
-    else:
-        system = assemble_galerkin(prob, mesh, k, config.family, config.quad_assembly)
-    fn = solve_banded(system)
+    _, fn = _solve(config, prob, mesh, eps, k)
     xs = np.union1d(np.linspace(-1.0, 1.0, resolution), mesh.nodes)
     uN = fn.evaluate(xs)
     u = prob.exact(xs)
@@ -330,8 +330,6 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p)
 
 
-_EPS_SWEEP_GRID = (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
-
 _DEFAULTS = {
     "problem": "sun-stynes-example",
     "lambda": 0.25,
@@ -349,6 +347,15 @@ _DEFAULTS = {
     "format": "csv",
     "workers": 1,
     "resolution": 1001,
+}
+
+# applied before the config file and the flags, so explicit values always win
+_VERB_DEFAULTS = {
+    "eps-sweep": {
+        "eps": (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14),
+        "n": (512, 1024),
+        "k": (1, 2, 3, 4),
+    },
 }
 
 _FAMILY_NAMES = {"uniform": "uniform", "lobatto": "gauss-lobatto", "gauss-lobatto": "gauss-lobatto"}
@@ -393,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = {**_DEFAULTS, **_VERB_DEFAULTS.get(args.command, {})}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -404,24 +411,15 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         settings.update(file_conf)
-    flag_to_key = {"lam": "lambda", "fmt": "format"}
     for flag in (
         "problem lam eps n k method family c0 delta_policy quad_assembly "
         "quad_error_points quad_error_panels out format workers resolution".split()
     ):
-        attr = "lam" if flag == "lam" else flag
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            settings[flag_to_key.get(flag, flag)] = getattr(args, attr)
-    for key in ("eps",):
-        if np.isscalar(settings[key]):
-            settings[key] = (float(settings[key]),)
-        else:
-            settings[key] = tuple(float(v) for v in settings[key])
-    for key in ("n", "k"):
-        if np.isscalar(settings[key]):
-            settings[key] = (int(settings[key]),)
-        else:
-            settings[key] = tuple(int(v) for v in settings[key])
+        if getattr(args, flag, None) is not None:
+            settings["lambda" if flag == "lam" else flag] = getattr(args, flag)
+    for key, cast in (("eps", float), ("n", int), ("k", int)):
+        values = settings[key]
+        settings[key] = (cast(values),) if np.isscalar(values) else tuple(cast(v) for v in values)
     settings["family"] = _FAMILY_NAMES.get(settings["family"], settings["family"])
     return settings
 
@@ -470,50 +468,9 @@ def _cmd_mesh(settings: dict) -> int:
     return 0
 
 
-def _cmd_table(settings: dict, make_table) -> int:
-    config = _config_from(settings)
-    table = make_table(config)
-    text = emit(table, config.fmt, config.out)
-    if config.out is None:
-        print(text, end="")
-    failures = 0
-    if "error" in table.columns:
-        idx = table.columns.index("error")
-        failures = sum(1 for row in table.rows if row[idx])
-        for row in table.rows:
-            if row[idx]:
-                print(f"row failure: {row[idx]}", file=sys.stderr)
-    return 2 if failures else 0
-
-
-def _cmd_converge(settings: dict) -> int:
-    return _cmd_table(settings, lambda cfg: convergence_table(run_convergence(cfg)))
-
-
-def _cmd_eps_sweep(settings: dict) -> int:
-    if settings["eps"] == _DEFAULTS["eps"]:
-        settings["eps"] = _EPS_SWEEP_GRID
-    if settings["n"] == _DEFAULTS["n"]:
-        settings["n"] = (512, 1024)
-    if settings["k"] == _DEFAULTS["k"]:
-        settings["k"] = (1, 2, 3, 4)
-    config = _config_from(settings)
-    rows = run_convergence(config)
-    norm = "sd" if config.method == "sdfem" else "energy"
-    columns = ["eps"] + [f"k{k}_n{n}" for k in config.k_list for n in config.n_list]
-    by_case = {(r.eps, r.order, r.n_half): r for r in rows}
-    data = []
-    failures = []
-    for eps in config.eps_list:
-        cells: list = [eps]
-        for k in config.k_list:
-            for n in config.n_list:
-                r = by_case[(eps, k, n)]
-                if r.error is not None:
-                    failures.append(r.error)
-                cells.append(getattr(r, norm))
-        data.append(tuple(cells))
-    table = Table(tuple(columns), tuple(data))
+def _print_table(config: SweepConfig, table: Table, failures=()) -> int:
+    """Emit the table (to stdout when there is no --out), report each
+    failure on stderr, and return the exit code."""
     text = emit(table, config.fmt, config.out)
     if config.out is None:
         print(text, end="")
@@ -522,67 +479,67 @@ def _cmd_eps_sweep(settings: dict) -> int:
     return 2 if failures else 0
 
 
+def _cmd_table(settings: dict, make_table) -> int:
+    config = _config_from(settings)
+    table = make_table(config)
+    idx = table.columns.index("error")
+    return _print_table(config, table, [row[idx] for row in table.rows if row[idx]])
+
+
+def _cmd_eps_sweep(settings: dict) -> int:
+    config = _config_from(settings)
+    rows = run_convergence(config)  # ordered eps, then k, then N
+    norm = "sd" if config.method == "sdfem" else "energy"
+    columns = ("eps",) + tuple(f"k{k}_n{n}" for k in config.k_list for n in config.n_list)
+    width = len(columns) - 1
+    data = []
+    for i, eps in enumerate(config.eps_list):
+        group = rows[i * width : (i + 1) * width]
+        data.append((eps, *(getattr(r, norm) for r in group)))
+    failures = [r.error for r in rows if r.error is not None]
+    return _print_table(config, Table(columns, tuple(data)), failures)
+
+
 def _cmd_sample(settings: dict) -> int:
-    eps, n, k = _require_single(settings, "sample")
+    _require_single(settings, "sample")
     config = _config_from(settings)
     try:
         table = sample_solution(config, int(settings["resolution"]))
     except _CASE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit(table, config.fmt, config.out)
-    if config.out is None:
-        print(text, end="")
-    return 0
+    return _print_table(config, table)
 
 
 def _cmd_solve(settings: dict) -> int:
-    eps, n, k = _require_single(settings, "solve")
+    _require_single(settings, "solve")
     config = _config_from(settings)
-    rows = run_convergence(config)
-    row = rows[0]
+    row = run_convergence(config)[0]
     if row.error is not None:
         print(f"error: {row.error}", file=sys.stderr)
         return 2
-    table = Table(
-        ("eps", "N", "k", "family", "policy", "l2", "energy", "sd", "weighted_xdp"),
-        (
-            (
-                row.eps,
-                row.n_half,
-                row.order,
-                config.family,
-                config.delta_policy if config.method == "sdfem" else "none",
-                row.l2,
-                row.energy,
-                row.sd,
-                row.weighted_xdp,
-            ),
-        ),
-    )
-    text = emit(table, config.fmt, config.out)
-    if config.out is None:
-        print(text, end="")
-    return 0
+    policy = config.delta_policy if config.method == "sdfem" else "none"
+    case = (row.eps, row.n_half, row.order, config.family, policy)
+    norms = (row.l2, row.energy, row.sd, row.weighted_xdp)
+    return _print_table(config, Table(ERROR_REPORT_COLUMNS, (case + norms,)))
+
+
+_COMMANDS = {
+    "mesh": _cmd_mesh,
+    "solve": _cmd_solve,
+    "converge": lambda settings: _cmd_table(
+        settings, lambda cfg: convergence_table(run_convergence(cfg))
+    ),
+    "eps-sweep": _cmd_eps_sweep,
+    "ratio": lambda settings: _cmd_table(settings, run_ratio_table),
+    "sample": _cmd_sample,
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        settings = _merge_settings(args)
-        if args.command == "mesh":
-            return _cmd_mesh(settings)
-        if args.command == "solve":
-            return _cmd_solve(settings)
-        if args.command == "converge":
-            return _cmd_converge(settings)
-        if args.command == "eps-sweep":
-            return _cmd_eps_sweep(settings)
-        if args.command == "ratio":
-            return _cmd_table(settings, run_ratio_table)
-        if args.command == "sample":
-            return _cmd_sample(settings)
-        raise ValueError(f"unhandled command {args.command!r}")
+        return _COMMANDS[args.command](_merge_settings(args))
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -48,29 +48,9 @@ class ErrorReport:
     energy: float
     sd: float
     weighted_xdp: float
-    per_element: Optional[np.ndarray] = None  # columns: l2^2, |e|_1^2, sd extra, ||x e'||^2
 
 
 ERROR_REPORT_COLUMNS = ("eps", "N", "k", "family", "policy", "l2", "energy", "sd", "weighted_xdp")
-
-
-def error_report_csv_row(
-    report: ErrorReport, eps: float, n_half: int, k: int, family: str, policy: str
-) -> str:
-    """One CSV row in the ERROR_REPORT_COLUMNS order."""
-    return ",".join(
-        (
-            f"{eps:.17g}",
-            str(n_half),
-            str(k),
-            family,
-            policy,
-            f"{report.l2:.17g}",
-            f"{report.energy:.17g}",
-            f"{report.sd:.17g}",
-            f"{report.weighted_xdp:.17g}",
-        )
-    )
 
 
 def interpolate(problem: Problem, mesh: Mesh, k: int, family: str = "uniform") -> DiscreteFunction:
@@ -84,12 +64,17 @@ def interpolate(problem: Problem, mesh: Mesh, k: int, family: str = "uniform") -
     return DiscreteFunction(mesh, k, family, coeffs)
 
 
-def _composite_points(quad: QuadSpec) -> tuple[np.ndarray, np.ndarray]:
+def _composite_points(mesh: Mesh, quad: QuadSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference points of the composite rule, and its physical points and
+    weights on every element; the latter two have shape (nel, npts)."""
     rule = gauss_rule(quad.points)
     offsets = np.arange(quad.panels)[:, None] / quad.panels
     pts = (offsets + rule.points[None, :] / quad.panels).ravel()
     wts = np.tile(rule.weights / quad.panels, quad.panels)
-    return pts, wts
+    h = mesh.lengths
+    xq = mesh.nodes[:-1, None] + h[:, None] * pts[None, :]
+    wq = wts[None, :] * h[:, None]
+    return pts, xq, wq
 
 
 def _element_tables(fn: DiscreteFunction, pts: np.ndarray):
@@ -113,7 +98,6 @@ def _integrate_norms(
     aq: np.ndarray,
     wq: np.ndarray,
     stab: Optional[StabilizationProfile],
-    keep_elements: bool,
 ) -> ErrorReport:
     l2_el = np.sum(wq * err * err, axis=1)
     h1_el = np.sum(wq * derr * derr, axis=1)
@@ -123,14 +107,11 @@ def _integrate_norms(
     else:
         sd_el = np.zeros(l2_el.size)
     l2s, h1s, sds, xdps = (float(np.sum(v)) for v in (l2_el, h1_el, sd_el, xdp_el))
-    energy = np.sqrt(eps * h1s + l2s)
-    per = np.column_stack((l2_el, h1_el, sd_el, xdp_el)) if keep_elements else None
     return ErrorReport(
         l2=np.sqrt(l2s),
-        energy=energy,
+        energy=np.sqrt(eps * h1s + l2s),
         sd=np.sqrt(eps * h1s + l2s + sds),
         weighted_xdp=np.sqrt(xdps),
-        per_element=per,
     )
 
 
@@ -140,7 +121,6 @@ def error_norms(
     mesh: Mesh,
     stab: Optional[StabilizationProfile] = None,
     quad: QuadSpec = QuadSpec(),
-    per_element: bool = False,
 ) -> ErrorReport:
     """
     Measure u - u_h against the registered exact solution, elementwise with
@@ -150,15 +130,12 @@ def error_norms(
         raise ValueError("error_norms needs a problem with exact solution")
     if mesh is not u_h.mesh and not np.array_equal(mesh.nodes, u_h.mesh.nodes):
         raise ValueError("mesh does not match the discrete function")
-    pts, wts = _composite_points(quad)
-    h = mesh.lengths
-    xq = mesh.nodes[:-1, None] + h[:, None] * pts[None, :]
-    wq = wts[None, :] * h[:, None]
+    pts, xq, wq = _composite_points(mesh, quad)
     vals, ders = _element_tables(u_h, pts)
     err = problem.exact(xq) - vals
     derr = problem.exact_dx(xq) - ders
     aq = problem.coeff_a(xq) if stab is not None else xq
-    return _integrate_norms(problem.eps, err, derr, xq, aq, wq, stab, per_element)
+    return _integrate_norms(problem.eps, err, derr, xq, aq, wq, stab)
 
 
 def sd_distance(
@@ -180,11 +157,7 @@ def sd_distance(
     diff = DiscreteFunction(
         mesh, a_fn.order, a_fn.family, a_fn.coefficients - b_fn.coefficients
     )
-    pts, wts = _composite_points(quad)
-    h = mesh.lengths
-    xq = mesh.nodes[:-1, None] + h[:, None] * pts[None, :]
-    wq = wts[None, :] * h[:, None]
+    pts, xq, wq = _composite_points(mesh, quad)
     vals, ders = _element_tables(diff, pts)
     aq = problem.coeff_a(xq)
-    report = _integrate_norms(problem.eps, vals, ders, xq, aq, wq, stab, False)
-    return report.sd
+    return _integrate_norms(problem.eps, vals, ders, xq, aq, wq, stab).sd

@@ -194,23 +194,6 @@ def gamma_estimate(problem: Problem, grid_size: int = 2001) -> GammaEstimate:
     return GammaEstimate(gamma, argmin)
 
 
-def layer_bound_profile(problem: Problem, i: int, lam: float) -> Evaluator:
-    """
-    Shape x -> 1 + (sqrt(eps) + |x|)^(lam - i) bounding |u^(i)| up to a
-    constant; used to sanity-check derivative growth toward the layer.
-    """
-    if not problem.has_exact:
-        raise ValueError("layer_bound_profile needs a problem with exact solution")
-    if not 0 <= i <= 2:
-        raise ValueError(f"derivative order must be 0, 1 or 2, got {i}")
-    root_eps = np.sqrt(problem.eps)
-
-    def bound(x):
-        return 1.0 + (root_eps + np.abs(x)) ** (lam - i)
-
-    return bound
-
-
 _REGISTRY: dict[str, Callable[[float, float], Problem]] = {
     "sun-stynes-example": make_test_problem,
 }

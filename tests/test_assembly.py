@@ -25,7 +25,6 @@ from cuspfem import (
     assemble_sdfem,
     build_mesh,
     compute_deltas,
-    dump_system,
     error_norms,
     make_test_problem,
     sd_distance,
@@ -273,34 +272,3 @@ class TestCoercivity:
             vfn = random_member(mesh, k, rng)
             quad = float(vfn.coefficients[1:-1] @ apply_system(system, vfn.coefficients[1:-1]))
             assert quad >= 0.375 * sd_distance(vfn, zero, prob, stab) ** 2
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        prob = make_test_problem(1e-4, 0.25)
-        mesh = build_mesh(MeshParams(1e-4, 8, 2, 0.25))
-        system = assemble_galerkin(prob, mesh, 2)
-        path = tmp_path / "system.txt"
-        dump_system(system, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"dimension {system.dimension}"
-        assert lines[1] == f"halfwidth {system.halfwidth}"
-        assert len(lines) == 2 + (2 * system.halfwidth + 1) + 1
-        offsets = []
-        for row, line in enumerate(lines[2:-1]):
-            parts = line.split()
-            assert parts[0] == "band"
-            offsets.append(int(parts[1]))
-            values = np.array([float(s) for s in parts[2:]])
-            assert np.array_equal(values, system.bands[row])
-        assert offsets == list(range(system.halfwidth, -system.halfwidth - 1, -1))
-        rhs = np.array([float(s) for s in lines[-1].split()[1:]])
-        assert np.array_equal(rhs, system.rhs)
-
-    def test_unwritable_path_raises_oserror_with_path(self, tmp_path):
-        prob = make_test_problem(1e-4, 0.25)
-        mesh = build_mesh(MeshParams(1e-4, 8, 1, 0.25))
-        system = assemble_galerkin(prob, mesh, 1)
-        bad = tmp_path / "missing" / "system.txt"
-        with pytest.raises(OSError, match="system.txt"):
-            dump_system(system, bad)

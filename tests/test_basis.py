@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cuspfem import ReferenceBasis, estimate_c_inv, eval_basis, gauss_rule, reference_nodes
+from cuspfem import ReferenceBasis, estimate_c_inv, gauss_rule, reference_nodes
 
 
 class TestReferenceNodes:
@@ -61,13 +61,8 @@ class TestEvalBasis:
 
     def test_k2_midpoint_hat(self):
         # quadratic bump 4t(1-t) at t = 0.25
-        vals = eval_basis(ReferenceBasis(2, "uniform"), 0.25)
+        vals = ReferenceBasis(2).tables(0.25)[0][:, 0]
         assert vals[1] == pytest.approx(0.75, abs=1e-14)
-
-    def test_scalar_argument_shape(self):
-        basis = ReferenceBasis(3, "uniform")
-        assert eval_basis(basis, 0.3).shape == (4,)
-        assert eval_basis(basis, np.array([0.1, 0.9])).shape == (4, 2)
 
     @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
     @pytest.mark.parametrize("k", [1, 2, 4, 6, 8])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +13,49 @@ from cuspfem import (
     ERROR_REPORT_COLUMNS,
     MeshParams,
     SweepConfig,
+    Table,
     build_mesh,
+    convergence_table,
     run_convergence,
+    run_ratio_table,
+    sample_solution,
 )
 from cuspfem.experiments import CONVERGENCE_COLUMNS, main
 
 QUICK = ["--lambda", "0.25", "--eps", "1e-6", "--n", "16", "--k", "1"]
+QUICK_CONFIG = SweepConfig(lam=0.25, eps_list=(1e-6,), n_list=(16,), k_list=(1,))
+SWEEP = ["--lambda", "0.25", "--eps", "1,1e-6", "--n", "16,32", "--k", "1,2"]
+SWEEP_CONFIG = SweepConfig(lam=0.25, eps_list=(1.0, 1e-6), n_list=(16, 32), k_list=(1, 2))
+
+
+def _eps_sweep_table(config: SweepConfig) -> Table:
+    by_case = {(r.eps, r.order, r.n_half): r.sd for r in run_convergence(config)}
+    columns = ("eps",) + tuple(f"k{k}_n{n}" for k in config.k_list for n in config.n_list)
+    rows = tuple(
+        (eps, *(by_case[(eps, k, n)] for k in config.k_list for n in config.n_list))
+        for eps in config.eps_list
+    )
+    return Table(columns, rows)
+
+
+def _assert_csv_equals(text: str, table: Table) -> None:
+    lines = text.splitlines()
+    assert lines[0] == ",".join(table.columns)
+    assert len(lines) == 1 + len(table.rows)
+    for line, row in zip(lines[1:], table.rows):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for cell, value in zip(cells, row):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, (bool, str)):
+                assert cell == str(value)
+            elif isinstance(value, (int, np.integer)):
+                assert int(cell) == value
+            elif math.isnan(value):
+                assert cell == "nan"
+            else:
+                assert float(cell) == value
 
 
 class TestMeshVerb:
@@ -70,6 +109,24 @@ class TestSolveVerb:
         assert out.startswith("| eps |")
 
 
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (["converge", *SWEEP], lambda: convergence_table(run_convergence(SWEEP_CONFIG))),
+        (["ratio", *SWEEP], lambda: run_ratio_table(SWEEP_CONFIG)),
+        (
+            ["eps-sweep", *SWEEP, "--method", "sdfem"],
+            lambda: _eps_sweep_table(replace(SWEEP_CONFIG, method="sdfem")),
+        ),
+        (["sample", *QUICK, "--resolution", "11"], lambda: sample_solution(QUICK_CONFIG, 11)),
+    ],
+    ids=["converge", "ratio", "eps-sweep", "sample"],
+)
+def test_table_verbs_match_library(argv, library, capsys):
+    assert main(argv) == 0
+    _assert_csv_equals(capsys.readouterr().out, library())
+
+
 class TestConvergeVerb:
     def test_basic_run(self, capsys):
         assert main(["converge", "--lambda", "0.25", "--eps", "1e-6", "--n", "16,32", "--k", "1"]) == 0
@@ -110,6 +167,27 @@ class TestOtherVerbs:
         assert lines[0] == "eps,k1_n16,k1_n32,k2_n16,k2_n32"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+    def test_eps_sweep_explicit_values_kept(self, from_config, tmp_path, capsys):
+        # the values equal the converge defaults but must not be swapped for the sweep grid
+        if from_config:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"lambda": 0.25, "eps": 1e-10, "n": 128, "k": 1}))
+            argv = ["eps-sweep", "--config", str(conf)]
+        else:
+            argv = ["eps-sweep", "--lambda", "0.25", "--eps", "1e-10", "--n", "128", "--k", "1"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "eps,k1_n128"
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 1e-10
+
+    def test_eps_sweep_default_grid(self, capsys):
+        assert main(["eps-sweep"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "eps," + ",".join(f"k{k}_n{n}" for k in (1, 2, 3, 4) for n in (512, 1024))
+        eps = [float(line.split(",")[0]) for line in lines[1:]]
+        assert eps == [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14]
+
     def test_sample_resolution(self, capsys):
         assert main(["sample", *QUICK, "--resolution", "11"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -131,6 +209,16 @@ class TestConfigFile:
         override = capsys.readouterr().out
         assert base.splitlines()[1].split(",")[1] == "16"
         assert override.splitlines()[1].split(",")[1] == "32"
+
+    def test_scalar_values_match_list_form(self, tmp_path, capsys):
+        outputs = []
+        for eps, n, k in ((1e-6, 16, 1), ([1e-6], [16], [1])):
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"lambda": 0.25, "eps": eps, "n": n, "k": k}))
+            assert main(["solve", "--config", str(conf)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].split(",")[1:3] == ["16", "1"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"

@@ -8,7 +8,6 @@ from helpers import patch_problem, zero_stab
 
 from cuspfem import (
     DiscreteFunction,
-    ERROR_REPORT_COLUMNS,
     MeshParams,
     Problem,
     QuadSpec,
@@ -17,7 +16,6 @@ from cuspfem import (
     build_mesh,
     compute_deltas,
     error_norms,
-    error_report_csv_row,
     global_nodes,
     interpolate,
     make_test_problem,
@@ -144,24 +142,6 @@ class TestErrorNorms:
             a, b = getattr(r1, name), getattr(r2, name)
             assert abs(a - b) <= 1e-3 * b
 
-    def test_per_element_breakdown_sums_to_totals(self):
-        eps = 1e-8
-        prob = make_test_problem(eps, 0.25)
-        mesh = build_mesh(MeshParams(eps, 32, 2, 0.25))
-        stab = compute_deltas(mesh, eps)
-        fn = solve_banded(assemble_sdfem(prob, mesh, 2, stab=stab))
-        rep = error_norms(fn, prob, mesh, stab=stab, per_element=True)
-        per = rep.per_element
-        assert per.shape == (mesh.n_intervals, 4)
-        assert math.sqrt(per[:, 0].sum()) == pytest.approx(rep.l2, rel=1e-12)
-        assert math.sqrt(eps * per[:, 1].sum() + per[:, 0].sum()) == pytest.approx(
-            rep.energy, rel=1e-12
-        )
-        assert math.sqrt(
-            eps * per[:, 1].sum() + per[:, 0].sum() + per[:, 2].sum()
-        ) == pytest.approx(rep.sd, rel=1e-12)
-        assert math.sqrt(per[:, 3].sum()) == pytest.approx(rep.weighted_xdp, rel=1e-12)
-
     def test_mesh_mismatch_rejected(self):
         prob = make_test_problem(1e-6, 0.25)
         mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))
@@ -169,20 +149,6 @@ class TestErrorNorms:
         fn = interpolate(prob, mesh, 1)
         with pytest.raises(ValueError):
             error_norms(fn, prob, other)
-
-    def test_csv_row_format(self):
-        rep = error_norms(
-            interpolate(make_test_problem(1e-6, 0.25), build_mesh(MeshParams(1e-6, 16, 1, 0.25)), 1),
-            make_test_problem(1e-6, 0.25),
-            build_mesh(MeshParams(1e-6, 16, 1, 0.25)),
-        )
-        row = error_report_csv_row(rep, 1e-6, 16, 1, "uniform", "standard")
-        fields = row.split(",")
-        assert len(fields) == len(ERROR_REPORT_COLUMNS)
-        assert float(fields[0]) == 1e-6
-        assert fields[1] == "16" and fields[2] == "1"
-        assert fields[3] == "uniform" and fields[4] == "standard"
-        assert float(fields[6]) == rep.energy
 
 
 class TestSdDistance:
