@@ -224,13 +224,9 @@ def _assemble(
             bands[k + ii - jj, cols + jj] += loc[:, ii, jj]
 
     # homogeneous Dirichlet: drop first and last row/column; in diagonal
-    # ordered storage that is a column slice, plus zeroing the slots that
-    # referenced the eliminated rows (solver ignores them, dumps should not)
-    bands = bands[:, 1:-1].copy()
-    dim = ndof - 2
-    rows = np.arange(2 * k + 1)[:, None] - k + np.arange(dim)[None, :]
-    bands[(rows < 0) | (rows >= dim)] = 0.0
-    return LinearSystem(bands, rhs[1:-1].copy(), mesh, k, family)
+    # ordered storage that is a column slice; the slots that referenced the
+    # eliminated rows keep their values, and no reader looks outside the matrix
+    return LinearSystem(bands[:, 1:-1].copy(), rhs[1:-1].copy(), mesh, k, family)
 
 
 def assemble_galerkin(

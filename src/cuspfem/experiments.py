@@ -14,12 +14,13 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .assembly import (
+    RESIDUAL_TOL,
     AssemblyError,
     SolverError,
     assemble_galerkin,
@@ -137,7 +138,7 @@ def _run_case(config: SweepConfig, eps: float, n: int, k: int) -> ConvergenceRow
         energy=report.energy,
         sd=report.sd,
         weighted_xdp=report.weighted_xdp,
-        residual_ok=bool(fn.residual <= 1e-10),
+        residual_ok=bool(fn.residual <= RESIDUAL_TOL),
         mesh_ok=diag.ok,
     )
 
@@ -330,53 +331,38 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p)
 
 
-_DEFAULTS = {
-    "problem": "sun-stynes-example",
-    "lambda": 0.25,
-    "eps": (1e-10,),
-    "n": (128, 256, 512, 1024),
-    "k": (1,),
-    "method": "fem",
-    "family": "uniform",
-    "c0": 1.0,
-    "delta_policy": "standard",
-    "quad_assembly": 0,
-    "quad_error_points": 5,
-    "quad_error_panels": 8,
-    "out": None,
-    "format": "csv",
-    "workers": 1,
-    "resolution": 1001,
-}
+_FAMILY_NAMES = {"lobatto": "gauss-lobatto"}
 
-# applied before the config file and the flags, so explicit values always win
-_VERB_DEFAULTS = {
-    "eps-sweep": {
-        "eps": (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14),
-        "n": (512, 1024),
-        "k": (1, 2, 3, 4),
-    },
-}
-
-_FAMILY_NAMES = {"uniform": "uniform", "lobatto": "gauss-lobatto", "gauss-lobatto": "gauss-lobatto"}
+# config file keys: the long flag names with "_" for "-"
+_CONFIG_KEYS = frozenset(
+    "problem lambda eps n k method family c0 delta_policy quad_assembly quad_error_points "
+    "quad_error_panels out format workers resolution".split()
+)
 
 
 def _add_common(sp) -> None:
+    # unset flags stay None so that SweepConfig and QuadSpec hold the defaults
     sp.add_argument("--config", help="JSON file with the same keys as the flags; flags override")
     sp.add_argument("--problem", choices=problem_names())
-    sp.add_argument("--eps", type=_floats, metavar="E1[,E2,...]")
+    sp.add_argument("--eps", dest="eps_list", type=_floats, metavar="E1[,E2,...]")
     sp.add_argument("--lambda", dest="lam", type=float, metavar="LAM")
-    sp.add_argument("--n", type=_ints, metavar="N1[,N2,...]", help="intervals per half-mesh")
-    sp.add_argument("--k", type=_ints, metavar="K1[,K2,...]", help="polynomial orders")
+    sp.add_argument(
+        "--n", dest="n_list", type=_ints, metavar="N1[,N2,...]", help="intervals per half-mesh"
+    )
+    sp.add_argument("--k", dest="k_list", type=_ints, metavar="K1[,K2,...]", help="polynomial orders")
     sp.add_argument("--method", choices=METHODS)
-    sp.add_argument("--family", choices=("uniform", "lobatto"))
+    sp.add_argument(
+        "--family",
+        type=lambda name: _FAMILY_NAMES.get(name, name),
+        choices=("uniform", "lobatto", "gauss-lobatto"),
+    )
     sp.add_argument("--c0", type=float)
     sp.add_argument("--delta-policy", choices=("standard", "theorem-capped"))
     sp.add_argument("--quad-assembly", type=int, help="Gauss points per element (0 = k+3)")
-    sp.add_argument("--quad-error-points", type=int)
-    sp.add_argument("--quad-error-panels", type=int)
+    sp.add_argument("--quad-error-points", dest="points", type=int)
+    sp.add_argument("--quad-error-panels", dest="panels", type=int)
     sp.add_argument("--out", help="output file path")
-    sp.add_argument("--format", choices=FORMATS)
+    sp.add_argument("--format", dest="fmt", choices=FORMATS)
     sp.add_argument("--workers", type=int)
 
 
@@ -394,72 +380,54 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs:
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
+        if name == "eps-sweep":
+            sp.set_defaults(
+                eps_list=(1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14),
+                n_list=(512, 1024),
+                k_list=(1, 2, 3, 4),
+            )
         if name == "sample":
-            sp.add_argument("--resolution", type=int, help="equispaced sample points")
+            sp.add_argument("--resolution", type=int, default=1001, help="equispaced sample points")
     return p
 
 
-def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = {**_DEFAULTS, **_VERB_DEFAULTS.get(args.command, {})}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
-        unknown = set(file_conf) - set(_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(file_conf)
-    for flag in (
-        "problem lam eps n k method family c0 delta_policy quad_assembly "
-        "quad_error_points quad_error_panels out format workers resolution".split()
-    ):
-        if getattr(args, flag, None) is not None:
-            settings["lambda" if flag == "lam" else flag] = getattr(args, flag)
-    for key, cast in (("eps", float), ("n", int), ("k", int)):
-        values = settings[key]
-        settings[key] = (cast(values),) if np.isscalar(values) else tuple(cast(v) for v in values)
-    settings["family"] = _FAMILY_NAMES.get(settings["family"], settings["family"])
-    return settings
-
-
-def _config_from(settings: dict) -> SweepConfig:
-    return SweepConfig(
-        problem=settings["problem"],
-        lam=float(settings["lambda"]),
-        eps_list=settings["eps"],
-        n_list=settings["n"],
-        k_list=settings["k"],
-        method=settings["method"],
-        family=settings["family"],
-        c0=float(settings["c0"]),
-        delta_policy=settings["delta_policy"],
-        quad_assembly=int(settings["quad_assembly"]),
-        quad_error=QuadSpec(int(settings["quad_error_points"]), int(settings["quad_error_panels"])),
-        out=settings["out"],
-        fmt=settings["format"],
-        workers=int(settings["workers"]),
-    )
-
-
-def _require_single(settings: dict, verb: str) -> tuple[float, int, int]:
-    if len(settings["eps"]) != 1 or len(settings["n"]) != 1 or len(settings["k"]) != 1:
-        raise ValueError(f"{verb} needs exactly one --eps, one --n and one --k")
-    return settings["eps"][0], settings["n"][0], settings["k"][0]
-
-
-def _cmd_mesh(settings: dict) -> int:
-    eps, n, k = _require_single(settings, "mesh")
+def _config_flags(path: str, verb: str) -> list[str]:
+    """The config file as `--key=value` flags: lists comma-joined, null
+    values dropped, and `resolution` only for the verb that has it."""
     try:
-        mesh = build_mesh(MeshParams(eps, n, k, float(settings["lambda"])))
+        with open(path) as fh:
+            conf = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(conf, dict):
+        raise ValueError(f"cannot read config {path}: expected a JSON object")
+    unknown = set(conf) - _CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return [
+        f"--{key.replace('_', '-')}=" + (",".join(map(str, v)) if isinstance(v, list) else str(v))
+        for key, v in conf.items()
+        if v is not None and (key != "resolution" or verb == "sample")
+    ]
+
+
+def _require_single(config: SweepConfig, verb: str) -> tuple[float, int, int]:
+    if len(config.eps_list) != 1 or len(config.n_list) != 1 or len(config.k_list) != 1:
+        raise ValueError(f"{verb} needs exactly one --eps, one --n and one --k")
+    return config.eps_list[0], config.n_list[0], config.k_list[0]
+
+
+def _cmd_mesh(config: SweepConfig) -> int:
+    eps, n, k = _require_single(config, "mesh")
+    try:
+        mesh = build_mesh(MeshParams(eps, n, k, config.lam))
     except MeshConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     diag = validate_mesh(mesh)
     print(json.dumps(mesh_header(mesh)))
-    if settings["out"]:
-        save_mesh(mesh, settings["out"])
+    if config.out:
+        save_mesh(mesh, config.out)
     if not diag.ok:
         for v in diag.violations:
             print(f"violation: {v}", file=sys.stderr)
@@ -479,15 +447,13 @@ def _print_table(config: SweepConfig, table: Table, failures=()) -> int:
     return 2 if failures else 0
 
 
-def _cmd_table(settings: dict, make_table) -> int:
-    config = _config_from(settings)
+def _cmd_table(config: SweepConfig, make_table) -> int:
     table = make_table(config)
     idx = table.columns.index("error")
     return _print_table(config, table, [row[idx] for row in table.rows if row[idx]])
 
 
-def _cmd_eps_sweep(settings: dict) -> int:
-    config = _config_from(settings)
+def _cmd_eps_sweep(config: SweepConfig) -> int:
     rows = run_convergence(config)  # ordered eps, then k, then N
     norm = "sd" if config.method == "sdfem" else "energy"
     columns = ("eps",) + tuple(f"k{k}_n{n}" for k in config.k_list for n in config.n_list)
@@ -500,20 +466,18 @@ def _cmd_eps_sweep(settings: dict) -> int:
     return _print_table(config, Table(columns, tuple(data)), failures)
 
 
-def _cmd_sample(settings: dict) -> int:
-    _require_single(settings, "sample")
-    config = _config_from(settings)
+def _cmd_sample(config: SweepConfig, resolution: int) -> int:
+    _require_single(config, "sample")
     try:
-        table = sample_solution(config, int(settings["resolution"]))
+        table = sample_solution(config, resolution)
     except _CASE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _print_table(config, table)
 
 
-def _cmd_solve(settings: dict) -> int:
-    _require_single(settings, "solve")
-    config = _config_from(settings)
+def _cmd_solve(config: SweepConfig) -> int:
+    _require_single(config, "solve")
     row = run_convergence(config)[0]
     if row.error is not None:
         print(f"error: {row.error}", file=sys.stderr)
@@ -527,19 +491,29 @@ def _cmd_solve(settings: dict) -> int:
 _COMMANDS = {
     "mesh": _cmd_mesh,
     "solve": _cmd_solve,
-    "converge": lambda settings: _cmd_table(
-        settings, lambda cfg: convergence_table(run_convergence(cfg))
+    "converge": lambda config: _cmd_table(
+        config, lambda cfg: convergence_table(run_convergence(cfg))
     ),
     "eps-sweep": _cmd_eps_sweep,
-    "ratio": lambda settings: _cmd_table(settings, run_ratio_table),
-    "sample": _cmd_sample,
+    "ratio": lambda config: _cmd_table(config, run_ratio_table),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](_merge_settings(args))
+        if args.config:
+            # the file's flags go before the command line's, so those win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, args.command) + argv[1:])
+        given = {key: v for key, v in vars(args).items() if v is not None}
+        quad = QuadSpec(**{key: given[key] for key in ("points", "panels") if key in given})
+        settings = {f.name: given[f.name] for f in fields(SweepConfig) if f.name in given}
+        config = SweepConfig(quad_error=quad, **settings)
+        if args.command == "sample":
+            return _cmd_sample(config, args.resolution)
+        return _COMMANDS[args.command](config)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
 from dataclasses import replace
@@ -78,6 +79,10 @@ class TestMeshVerb:
         mesh = build_mesh(MeshParams(1e-4, 64, 2, 0.25))
         assert np.array_equal(nodes, mesh.nodes)
         assert json.loads((tmp_path / "mesh.csv.json").read_text())["K"] == mesh.big_k
+
+    def test_full_config_validated(self, capsys):
+        assert main(["mesh", "--eps", "1e-4", "--n", "64", "--k", "2", "--workers", "0"]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_too_coarse_exits_2(self, capsys):
         code = main(["mesh", "--eps", "1e-40", "--n", "4", "--k", "8", "--lambda", "0.005"])
@@ -229,6 +234,65 @@ class TestConfigFile:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "none.json"), *QUICK]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad, flags",
+        [
+            ({"n": 16.7}, ["--n", "16.7"]),
+            ({"workers": 2.5}, ["--workers", "2.5"]),
+            ({"eps": True}, ["--eps", "True"]),
+            ({"problem": "nope"}, ["--problem", "nope"]),
+            ({"family": "chebyshev"}, ["--family", "chebyshev"]),
+            (
+                {"method": "sdfem", "delta_policy": "bogus"},
+                ["--method", "sdfem", "--delta-policy", "bogus"],
+            ),
+        ],
+        ids=["fractional-n", "fractional-workers", "bool-eps", "problem", "family", "delta-policy"],
+    )
+    def test_bad_value_rejected_as_flag_is(self, bad, flags, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"lambda": 0.25, "eps": [1e-6], "n": [16], "k": [1], **bad}))
+        for argv in (["solve", *QUICK, *flags], ["solve", "--config", str(conf)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert "error: argument" in capsys.readouterr().err
+
+    def test_out_is_a_file_name(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "conf.json").write_text(json.dumps({"out": 1}))
+        assert main(["solve", "--config", "conf.json", *QUICK]) == 0
+        os.fstat(1)  # raises if the table write closed stdout
+        assert capfd.readouterr().out == ""
+        assert (tmp_path / "1").read_text().startswith(",".join(ERROR_REPORT_COLUMNS))
+
+    def test_null_means_unset(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"c0": None, "delta_policy": None}))
+        assert main(["solve", "--config", str(conf), *QUICK, "--method", "sdfem"]) == 0
+        nulls = capsys.readouterr().out
+        assert main(["solve", *QUICK, "--method", "sdfem"]) == 0
+        assert nulls == capsys.readouterr().out
+
+    def test_every_key_matches_its_flag(self, tmp_path, capsys):
+        conf = {
+            "problem": "sun-stynes-example", "lambda": 0.5, "eps": [1e-6], "n": [16], "k": [2],
+            "method": "sdfem", "family": "lobatto", "c0": 0.5, "delta_policy": "theorem-capped",
+            "quad_assembly": 6, "quad_error_points": 4, "quad_error_panels": 2,
+            "out": str(tmp_path / "conf.md"), "format": "markdown", "workers": 2, "resolution": 11,
+        }
+        (tmp_path / "conf.json").write_text(json.dumps(conf))
+        assert main(["sample", "--config", str(tmp_path / "conf.json")]) == 0
+        argv = []
+        for key, v in {**conf, "out": str(tmp_path / "flags.md")}.items():
+            text = ",".join(map(str, v)) if isinstance(v, list) else str(v)
+            argv += ["--" + key.replace("_", "-"), text]
+        assert main(["sample", *argv]) == 0
+        assert capsys.readouterr().out == ""
+        table = (tmp_path / "flags.md").read_text()
+        assert table.startswith("| x | u_N | u | err |") and len(table.splitlines()) > 13
+        assert (tmp_path / "conf.md").read_text() == table
 
 
 class TestArgErrors:

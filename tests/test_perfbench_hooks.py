@@ -1,0 +1,50 @@
+"""
+The benchmark's span tracer (perfbench/tracer.py) times the CLI by swapping
+names in the `cuspfem.experiments` namespace.  These tests run it over two
+tiny sweeps, so that renaming a patched name or one of its parameters fails
+here and not only in traced benchmark runs.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+import cuspfem.experiments as experiments
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# the theorem-capped SDFEM sweep reaches the deltas; the FEM converge does not
+ARGVS = (
+    ["eps-sweep", "--method", "sdfem", "--delta-policy", "theorem-capped", "--lambda", "0.25",
+     "--eps", "1,1e-8", "--n", "16", "--k", "1,2"],
+    ["converge", "--lambda", "0.25", "--eps", "1e-6", "--n", "16,32", "--k", "2"],
+)
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    return tracer
+
+
+def test_traced_passes_record_every_span_and_counter(tracer, tmp_path):
+    originals = {attr: getattr(experiments, attr) for attr in tracer.WRAPPED}
+    t = tracer.Tracer()
+    with tracer.traced(t, experiments):
+        for index, argv in enumerate(ARGVS):
+            argv = [*argv, "--out", str(tmp_path / "t.csv")]
+            assert t.run_pass(experiments.main, argv, index) == 0
+    assert {attr: getattr(experiments, attr) for attr in tracer.WRAPPED} == originals
+
+    names = {s["name"] for s in t.spans}
+    assert set(tracer.LAYER_SPANS) | {tracer.CASE, tracer.ROOT} <= names
+    assert set(tracer.COUNTERS) <= {key for s in t.spans for key in s}
+    cases = [s["case"] for s in t.spans if s["name"] == tracer.CASE]
+    assert len(cases) == 2 * 1 * 2 + 1 * 2 * 1
+    for index in range(len(ARGVS)):
+        metrics, _ = tracer.pass_metrics([s for s in t.spans if s["pass"] == index], workers=1)
+        assert metrics["assembly.dofs"] > 0 and metrics["assembly.residual_max"] < 1e-10
