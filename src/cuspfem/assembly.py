@@ -44,8 +44,6 @@ class StabilizationProfile:
     """Per-interval SDFEM parameters delta_i >= 0."""
 
     deltas: np.ndarray
-    c0: float
-    policy: str
     caps_applied: np.ndarray  # True where a theorem cap reduced the standard value
 
     def __post_init__(self):
@@ -71,14 +69,14 @@ def compute_deltas(
     the constraints under which coercivity and the supercloseness bound are
     proved.  Needs `problem` (for gamma and ||c||_inf) and `k`.
     """
-    if c0 <= 0.0:
-        raise ValueError(f"c0 must be positive, got {c0}")
+    if not 0.0 < c0 < np.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
     if policy not in DELTA_POLICIES:
         raise ValueError(f"unknown delta policy {policy!r}; expected one of {DELTA_POLICIES}")
     h = mesh.lengths
     deltas = c0 * np.minimum(h * h / eps, h)
     if policy == "standard":
-        return StabilizationProfile(deltas, c0, policy, np.zeros(h.size, dtype=bool))
+        return StabilizationProfile(deltas, np.zeros(h.size, dtype=bool))
     if problem is None or k is None:
         raise ValueError("theorem-capped policy needs problem and k")
     gamma = gamma_estimate(problem).gamma
@@ -90,13 +88,13 @@ def compute_deltas(
     else:
         cap = np.minimum(cap, np.minimum(h * h / eps, (mesh.big_k + 1) / mesh.params.n_half))
     capped = np.minimum(deltas, cap)
-    return StabilizationProfile(capped, c0, policy, capped < deltas)
+    return StabilizationProfile(capped, capped < deltas)
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """
-    Banded system after Dirichlet elimination: dimension 2Nk-1, halfwidth k.
+    Banded system after Dirichlet elimination: dimension 2Nk-1, half-bandwidth k.
     `bands` is diagonal-ordered storage, bands[k + i - j, j] = A[i, j].
     """
 
@@ -113,10 +111,6 @@ class LinearSystem:
     @property
     def dimension(self) -> int:
         return self.rhs.size
-
-    @property
-    def halfwidth(self) -> int:
-        return self.order
 
 
 @dataclass(frozen=True)
@@ -214,19 +208,20 @@ def _assemble(
         loc += np.einsum("eq,eiq,ejq->eij", dw, test, trial)
         rhs_loc += np.einsum("eq,eq,eiq->ei", dw, fq, test)
 
-    ndof = nel * k + 1
-    bands = np.zeros((2 * k + 1, ndof))
-    rhs = np.zeros(ndof)
-    cols = np.arange(nel) * k
-    for ii in range(k + 1):
-        np.add.at(rhs, cols + ii, rhs_loc[:, ii])
-        for jj in range(k + 1):
-            bands[k + ii - jj, cols + jj] += loc[:, ii, jj]
+    # element e's local column jj is global column e*k + jj, and its local
+    # row ii sits on band row k + ii - jj
+    end = nel * k
+    bands = np.zeros((2 * k + 1, end + 1))
+    for jj in range(k + 1):
+        bands[k - jj : 2 * k + 1 - jj, jj : jj + end : k] += loc[:, :, jj].T
+    rhs = np.zeros(end + 1)
+    rhs[:end] += rhs_loc[:, :k].ravel()
+    rhs[k::k] += rhs_loc[:, k]
 
     # homogeneous Dirichlet: drop first and last row/column; in diagonal
     # ordered storage that is a column slice; the slots that referenced the
     # eliminated rows keep their values, and no reader looks outside the matrix
-    return LinearSystem(bands[:, 1:-1].copy(), rhs[1:-1].copy(), mesh, k, family)
+    return LinearSystem(bands[:, 1:-1], rhs[1:-1], mesh, k, family)
 
 
 def assemble_galerkin(
@@ -272,17 +267,7 @@ def _band_matvec(bands: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
 
 def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the eliminated (interior) matrix."""
-    return _band_matvec(system.bands, system.halfwidth, np.asarray(x, dtype=float))
-
-
-def _band_inf_norm(bands: np.ndarray, k: int, n: int) -> float:
-    rowsum = np.zeros(n)
-    for o in range(-k, k + 1):
-        if o >= 0:
-            rowsum[o:n] += np.abs(bands[k + o, : n - o])
-        else:
-            rowsum[: n + o] += np.abs(bands[k + o, -o:])
-    return float(np.max(rowsum)) if n else 0.0
+    return _band_matvec(system.bands, system.order, np.asarray(x, dtype=float))
 
 
 def solve_banded(system: LinearSystem) -> DiscreteFunction:
@@ -291,17 +276,16 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     contract ||Ax - b|| / (||A|| ||x|| + ||b||) <= 1e-10 (inf norms); the
     achieved residual is recorded on the returned function.
     """
-    k = system.halfwidth
+    k = system.order
     try:
         sol = scipy.linalg.solve_banded((k, k), system.bands, system.rhs)
-    except scipy.linalg.LinAlgError as exc:
+    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: non-finite entries
         raise SolverError(f"banded LU failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise SolverError("banded LU produced non-finite values (singular system?)")
     res = np.max(np.abs(apply_system(system, sol) - system.rhs))
-    scale = _band_inf_norm(system.bands, k, system.dimension) * np.max(
-        np.abs(sol), initial=0.0
-    ) + np.max(np.abs(system.rhs), initial=0.0)
+    norm_a = np.max(_band_matvec(np.abs(system.bands), k, np.ones(system.dimension)))
+    scale = norm_a * np.max(np.abs(sol), initial=0.0) + np.max(np.abs(system.rhs), initial=0.0)
     rel = res / scale if scale else 0.0
     if rel > RESIDUAL_TOL:
         raise SolverError(

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -29,13 +29,14 @@ from .assembly import (
     solve_banded,
 )
 from .mesh import MeshConstructionError, MeshParams, build_mesh, mesh_header, save_mesh, validate_mesh
-from .norms import ERROR_REPORT_COLUMNS, QuadSpec, error_norms
+from .norms import ERROR_REPORT_COLUMNS, NORM_NAMES, QuadSpec, error_norms
 from .problem import make_problem, problem_names
 
 METHODS = ("fem", "sdfem")
 FORMATS = ("csv", "markdown")
 
-_CASE_ERRORS = (MeshConstructionError, AssemblyError, SolverError, ValueError)
+# per-row failures; a ValueError is a configuration error and aborts the run
+_CASE_ERRORS = (MeshConstructionError, AssemblyError, SolverError)
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,18 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One (eps, k, N) case; rates are set only when the next row in the
-    same (eps, k) group has exactly doubled N."""
+    """One (eps, k, N) case, fields in table column order; rates are set
+    only when the next row in the same (eps, k) group has exactly doubled N.
+    The norms are those of `ErrorReport`."""
 
     eps: float
     n_half: int
-    order: int
     big_k: Optional[int]
-    l2: float
-    energy: float
-    sd: float
-    weighted_xdp: float
+    order: int
+    l2: float = math.nan
+    energy: float = math.nan
+    sd: float = math.nan
+    weighted_xdp: float = math.nan
     l2_rate: Optional[float] = None
     energy_rate: Optional[float] = None
     sd_rate: Optional[float] = None
@@ -120,7 +122,6 @@ def _solve(config: SweepConfig, prob, mesh, eps: float, k: int):
 
 
 def _run_case(config: SweepConfig, eps: float, n: int, k: int) -> ConvergenceRow:
-    nan = math.nan
     try:
         prob = make_problem(config.problem, eps, config.lam)
         mesh = build_mesh(MeshParams(eps, n, k, config.lam))
@@ -128,26 +129,16 @@ def _run_case(config: SweepConfig, eps: float, n: int, k: int) -> ConvergenceRow
         stab, fn = _solve(config, prob, mesh, eps, k)
         report = error_norms(fn, prob, mesh, stab, config.quad_error)
     except _CASE_ERRORS as exc:
-        return ConvergenceRow(eps, n, k, None, nan, nan, nan, nan, error=str(exc))
+        return ConvergenceRow(eps, n, None, k, error=str(exc))
     return ConvergenceRow(
-        eps=eps,
-        n_half=n,
-        order=k,
-        big_k=mesh.big_k,
-        l2=report.l2,
-        energy=report.energy,
-        sd=report.sd,
-        weighted_xdp=report.weighted_xdp,
+        eps,
+        n,
+        mesh.big_k,
+        k,
+        **asdict(report),
         residual_ok=bool(fn.residual <= RESIDUAL_TOL),
         mesh_ok=diag.ok,
     )
-
-
-def _run_cases(config: SweepConfig, cases: list[tuple[float, int, int]]) -> list[ConvergenceRow]:
-    if config.workers == 1:
-        return [_run_case(config, *case) for case in cases]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(lambda case: _run_case(config, *case), cases))
 
 
 def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
@@ -157,66 +148,27 @@ def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
     row's `error` field and leave the other rows untouched.
     """
     cases = [(eps, n, k) for eps in config.eps_list for k in config.k_list for n in config.n_list]
-    rows = _run_cases(config, cases)
-    out: list[ConvergenceRow] = []
-    group = len(config.n_list)
-    for g in range(0, len(rows), group):
-        chunk = list(rows[g : g + group])
-        for i in range(len(chunk) - 1):
-            cur, nxt = chunk[i], chunk[i + 1]
-            if nxt.n_half == 2 * cur.n_half and cur.error is None and nxt.error is None:
-                chunk[i] = replace(
-                    cur,
-                    l2_rate=convergence_rate(cur.l2, nxt.l2),
-                    energy_rate=convergence_rate(cur.energy, nxt.energy),
-                    sd_rate=convergence_rate(cur.sd, nxt.sd),
-                    weighted_xdp_rate=convergence_rate(cur.weighted_xdp, nxt.weighted_xdp),
-                )
-        out.extend(chunk)
-    return out
+    if config.workers == 1:
+        rows = [_run_case(config, *case) for case in cases]
+    else:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            rows = list(pool.map(lambda case: _run_case(config, *case), cases))
+    # n_list ascends, so N doubles from one row to the next only inside an
+    # (eps, k) group
+    for i, (cur, nxt) in enumerate(zip(rows, rows[1:])):
+        if nxt.n_half == 2 * cur.n_half and cur.error is None and nxt.error is None:
+            rates = {
+                f"{m}_rate": convergence_rate(getattr(cur, m), getattr(nxt, m)) for m in NORM_NAMES
+            }
+            rows[i] = replace(cur, **rates)
+    return rows
 
 
-CONVERGENCE_COLUMNS = (
-    "eps",
-    "N",
-    "K",
-    "k",
-    "l2",
-    "energy",
-    "sd",
-    "weighted_xdp",
-    "l2_rate",
-    "energy_rate",
-    "sd_rate",
-    "weighted_xdp_rate",
-    "residual_ok",
-    "mesh_ok",
-    "error",
-)
+CONVERGENCE_COLUMNS = ("eps", "N", "K", "k") + tuple(f.name for f in fields(ConvergenceRow)[4:])
 
 
 def convergence_table(rows: list[ConvergenceRow]) -> Table:
-    data = tuple(
-        (
-            r.eps,
-            r.n_half,
-            r.big_k,
-            r.order,
-            r.l2,
-            r.energy,
-            r.sd,
-            r.weighted_xdp,
-            r.l2_rate,
-            r.energy_rate,
-            r.sd_rate,
-            r.weighted_xdp_rate,
-            r.residual_ok,
-            r.mesh_ok,
-            r.error,
-        )
-        for r in rows
-    )
-    return Table(CONVERGENCE_COLUMNS, data)
+    return Table(CONVERGENCE_COLUMNS, tuple(astuple(r) for r in rows))
 
 
 def run_ratio_table(config: SweepConfig) -> Table:
@@ -484,7 +436,7 @@ def _cmd_solve(config: SweepConfig) -> int:
         return 2
     policy = config.delta_policy if config.method == "sdfem" else "none"
     case = (row.eps, row.n_half, row.order, config.family, policy)
-    norms = (row.l2, row.energy, row.sd, row.weighted_xdp)
+    norms = tuple(getattr(row, m) for m in NORM_NAMES)
     return _print_table(config, Table(ERROR_REPORT_COLUMNS, (case + norms,)))
 
 

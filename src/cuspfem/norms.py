@@ -10,7 +10,7 @@ composite rule: several equal panels per element, Gauss points per panel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -50,7 +50,9 @@ class ErrorReport:
     weighted_xdp: float
 
 
-ERROR_REPORT_COLUMNS = ("eps", "N", "k", "family", "policy", "l2", "energy", "sd", "weighted_xdp")
+NORM_NAMES = tuple(f.name for f in fields(ErrorReport))
+
+ERROR_REPORT_COLUMNS = ("eps", "N", "k", "family", "policy") + NORM_NAMES
 
 
 def interpolate(problem: Problem, mesh: Mesh, k: int, family: str = "uniform") -> DiscreteFunction:

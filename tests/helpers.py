@@ -65,11 +65,11 @@ def near_zero_coefficient_problem(eps: float = 1.0) -> Problem:
 
 def zero_stab(mesh) -> StabilizationProfile:
     n = mesh.n_intervals
-    return StabilizationProfile(np.zeros(n), 1.0, "standard", np.zeros(n, dtype=bool))
+    return StabilizationProfile(np.zeros(n), np.zeros(n, dtype=bool))
 
 
 def bands_to_dense(system) -> np.ndarray:
-    k, n = system.halfwidth, system.dimension
+    k, n = system.order, system.dimension
     dense = np.zeros((n, n))
     for j in range(n):
         for i in range(max(0, j - k), min(n, j + k + 1)):

@@ -87,6 +87,10 @@ class TestComputeDeltas:
         with pytest.raises(ValueError):
             compute_deltas(mesh, 1e-6, c0=0.0)
         with pytest.raises(ValueError):
+            compute_deltas(mesh, 1e-6, c0=math.nan)
+        with pytest.raises(ValueError):
+            compute_deltas(mesh, 1e-6, c0=math.inf)
+        with pytest.raises(ValueError):
             compute_deltas(mesh, 1e-6, policy="aggressive")
         with pytest.raises(ValueError):
             compute_deltas(mesh, 1e-6, policy="theorem-capped")
@@ -99,7 +103,7 @@ class TestSystemStructure:
         mesh = build_mesh(MeshParams(1e-4, n, k, 0.25))
         system = assemble_galerkin(prob, mesh, k)
         assert system.dimension == 2 * n * k - 1
-        assert system.halfwidth == k
+        assert system.order == k
         assert system.bands.shape == (2 * k + 1, 2 * n * k - 1)
         assert system.rhs.shape == (2 * n * k - 1,)
 
@@ -199,6 +203,15 @@ class TestSolver:
         bands = np.zeros((3, n))
         with pytest.raises(SolverError):
             solve_banded(LinearSystem(bands, np.ones(n), mesh, 1, "uniform"))
+
+    def test_non_finite_band_entry_is_a_solver_error(self):
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 8, 1, 0.25))
+        system = assemble_galerkin(prob, mesh, 1)
+        bands = system.bands.copy()
+        bands[1, 3] = np.inf
+        with pytest.raises(SolverError):
+            solve_banded(LinearSystem(bands, system.rhs, mesh, 1, "uniform"))
 
     def test_nan_rhs_detected_at_assembly(self):
         # f hides a NaN window too narrow for the 257-point validation grid

@@ -5,7 +5,9 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +297,24 @@ class TestConfigFile:
         assert (tmp_path / "conf.md").read_text() == table
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", *SWEEP, "--method", "sdfem", "--c0", "-1"],
+        ["converge", *SWEEP, "--method", "sdfem", "--c0", "nan"],
+        ["converge", *SWEEP, "--k", "2", "--quad-assembly", "1"],
+        ["converge", *SWEEP, "--lambda", "-1"],
+        ["sample", *QUICK, "--resolution", "1"],
+    ],
+    ids=["c0-negative", "c0-nan", "quad-assembly-below-k+1", "lambda-negative", "resolution-1"],
+)
+def test_invalid_setting_is_a_config_error(argv, capsys):
+    # a value that no row can run with aborts the run instead of failing every row
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "row failure" not in err
+
+
 class TestArgErrors:
     def test_unknown_flag_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -314,12 +334,21 @@ class TestArgErrors:
 
 def test_console_script_entry_point():
     exe = shutil.which("cuspfem")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    if exe is not None:
+        cmd, env = [exe], None
+    else:
+        # not installed: run the [project.scripts] target from this checkout
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            module, func = tomllib.load(fh)["project"]["scripts"]["cuspfem"].split(":")
+        code = f"import sys; from {module} import {func}; sys.exit({func}())"
+        cmd, env = [sys.executable, "-c", code], {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(
-        [exe, "mesh", "--eps", "1e-4", "--n", "64", "--k", "2", "--lambda", "0.25"],
+        [*cmd, "mesh", "--eps", "1e-4", "--n", "64", "--k", "2", "--lambda", "0.25"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[0])["K"] == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ class TestRunConvergence:
         assert math.isnan(rows[0].energy)
         assert rows[1].error is None and rows[1].residual_ok
 
+    def test_invalid_setting_raises_instead_of_failing_rows(self):
+        config = SweepConfig(**QUICK, method="sdfem", c0=-1.0)
+        with pytest.raises(ValueError, match="c0 must be positive"):
+            run_convergence(config)
+
     def test_parallel_matches_serial(self):
         base = SweepConfig(lam=0.25, eps_list=(1e-4, 1e-8), n_list=(16, 32), k_list=(1, 2))
         serial = run_convergence(base)
@@ -84,6 +90,22 @@ class TestRunConvergence:
             SweepConfig(workers=0)
         with pytest.raises(ValueError):
             SweepConfig(n_list=())
+
+
+class TestConvergenceTable:
+    def test_every_cell_is_its_row_field(self):
+        # N = 4 fails (too coarse); SDFEM keeps sd apart from energy
+        config = SweepConfig(lam=0.005, eps_list=(1e-30,), n_list=(4, 64, 128), k_list=(2,))
+        rows = run_convergence(replace(config, method="sdfem"))
+        assert rows[0].error is not None and rows[1].error is None
+        table = convergence_table(rows)
+        renamed = {"N": "n_half", "K": "big_k", "k": "order"}
+        assert len(table.rows) == len(rows)
+        for row, cells in zip(rows, table.rows):
+            assert len(cells) == len(table.columns)
+            for column, cell in zip(table.columns, cells):
+                field = getattr(row, renamed.get(column, column))
+                assert cell is field or cell == field or (math.isnan(cell) and math.isnan(field))
 
 
 class TestRatioTable:
