@@ -45,8 +45,8 @@ class MeshParams:
             raise ValueError(f"n_half must be positive, got {self.n_half}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam <= self.order + 1:
+            raise ValueError(f"lambda must lie in [0, k + 1] = [0, {self.order + 1}], got {self.lam}")
 
 
 class SigmaResult(NamedTuple):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.optimize
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -164,31 +163,22 @@ def _a_prime(problem: Problem) -> Evaluator:
 
 def gamma_estimate(problem: Problem, grid_size: int = 2001) -> GammaEstimate:
     """
-    Minimum of (c - a'/2) over a uniform grid, refined around the grid
-    argmin by golden-section search.  Raises if the estimate is not
-    positive, since the energy-norm analysis needs gamma > 0.
+    Minimum of (c - a'/2) on a uniform grid, refined on a second grid of the
+    same size over the cells beside the first grid's argmin.  Raises if the
+    estimate is not positive, since the energy-norm analysis needs gamma > 0.
     """
     if grid_size < 1000:
         raise ValueError(f"grid_size must be >= 1000, got {grid_size}")
     ap = _a_prime(problem)
 
     def g(x):
-        x = np.asarray(x, dtype=float)
         return problem.coeff_c(x) - 0.5 * ap(x)
 
     x = np.linspace(-1.0, 1.0, grid_size)
+    i = int(np.argmin(g(x)))
+    x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, grid_size - 1)], grid_size)
     vals = g(x)
-    i = int(np.argmin(vals))
-    gamma, argmin = float(vals[i]), float(x[i])
-    if 0 < i < grid_size - 1:
-        try:
-            res = scipy.optimize.minimize_scalar(
-                lambda t: float(g(t)), bracket=(x[i - 1], x[i], x[i + 1]), method="golden"
-            )
-        except ValueError:  # flat bracket; the grid value stands
-            res = None
-        if res is not None and res.fun < gamma:
-            gamma, argmin = float(res.fun), float(res.x)
+    gamma, argmin = float(vals.min()), float(x[vals.argmin()])
     if gamma <= 0.0:
         raise ValueError(f"coercivity condition violated: min(c - a'/2) = {gamma} <= 0")
     return GammaEstimate(gamma, argmin)

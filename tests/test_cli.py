@@ -315,6 +315,22 @@ def test_invalid_setting_is_a_config_error(argv, capsys):
     assert "config error" in err and "row failure" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--eps", "1e-6", "--lambda", "2.5", "--k", "1", "--n", "16"],
+        # sigma = 1 for any lambda at eps = 1, so only the lambda check stops this run
+        ["converge", "--eps", "1", "--lambda", "5", "--k", "1", "--n", "16"],
+    ],
+    ids=["eps-1e-6", "eps-1"],
+)
+def test_lambda_above_k_plus_1_is_a_config_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lambda must lie in [0, k + 1] = [0, 2], got ")
+    assert "sigma" not in err
+
+
 class TestArgErrors:
     def test_unknown_flag_exits_1(self):
         with pytest.raises(SystemExit) as exc:

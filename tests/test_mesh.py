@@ -159,6 +159,10 @@ class TestBuildMesh:
             MeshParams(1e-4, 8, 0, 0.5)
         with pytest.raises(ValueError):
             MeshParams(1e-4, 8, 1, -0.5)
+        # at eps = 1 sigma is 1 for any lambda, so only this check stops lambda > k + 1
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, k \+ 1\] = \[0, 2\], got 2.5"):
+            MeshParams(1.0, 8, 1, 2.5)
+        MeshParams(1.0, 8, 1, 2.0)
 
 
 class TestValidateMesh:

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,6 +164,35 @@ class TestGammaEstimate:
         )
         est = gamma_estimate(prob)
         assert est.gamma == pytest.approx(1.5, abs=1e-12)
+
+    # off-grid minima of the 2001-point grid, the last one in its final cell
+    @pytest.mark.parametrize("x0", [0.3337, -0.71234, 0.99951])
+    def test_refines_off_grid_minimum(self, x0):
+        prob = Problem(
+            eps=1e-4,
+            coeff_a=lambda x: -x,
+            coeff_b=lambda x: np.ones_like(x),
+            coeff_c=lambda x: 1.0 + (x - x0) ** 2,
+            rhs_f=lambda x: np.zeros_like(x),
+            lambda_bar=1.0,
+            coeff_a_dx=lambda x: -np.ones_like(x),
+        )
+        est = gamma_estimate(prob)
+        assert est.gamma == pytest.approx(1.5, abs=1e-12)
+        assert est.argmin == pytest.approx(x0, abs=1e-6)
+
+    def test_import_leaves_scipy_optimize_out(self):
+        # gamma_estimate needs no optimiser, so the CLI does not pay its import
+        root = Path(__file__).resolve().parents[1]
+        code = "import sys, cuspfem.experiments; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
