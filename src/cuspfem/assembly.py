@@ -159,19 +159,18 @@ def global_nodes(mesh: Mesh, k: int, family: str) -> np.ndarray:
 
 
 def _coefficient_samples(problem: Problem, mesh: Mesh, rule) -> tuple:
-    h = mesh.lengths
-    xq = mesh.nodes[:-1, None] + h[:, None] * rule.points[None, :]
+    xq = mesh.nodes[None, :-1] + rule.points[:, None] * mesh.lengths[None, :]  # (q, nel)
     aq = problem.coeff_a(xq)
     cq = problem.coeff_c(xq)
     fq = problem.rhs_f(xq)
     finite = np.isfinite(aq) & np.isfinite(cq) & np.isfinite(fq)
     if not finite.all():
-        e = int(np.argmin(finite.all(axis=1)))
+        e = int(np.argmin(finite.all(axis=0)))
         raise AssemblyError(
             f"non-finite coefficient or rhs value in element {e} "
             f"(x in [{mesh.nodes[e]:.6g}, {mesh.nodes[e + 1]:.6g}])"
         )
-    return xq, aq, cq, fq
+    return aq, cq, fq
 
 
 def _assemble(
@@ -188,32 +187,35 @@ def _assemble(
     V, D1, D2 = _ref_basis(k, family).tables(rule.points)  # (k+1, q) each
     h = mesh.lengths
     nel = h.size
-    _, aq, cq, fq = _coefficient_samples(problem, mesh, rule)
-    wq = rule.weights[None, :] * h[:, None]  # (nel, q)
+    aq, cq, fq = _coefficient_samples(problem, mesh, rule)
+    wq = rule.weights[:, None] * h[None, :]  # (q, nel)
     eps = problem.eps
 
-    # local Galerkin blocks, all elements at once
-    loc = eps * np.einsum("eq,iq,jq->eij", wq / (h * h)[:, None], D1, D1)
-    loc += np.einsum("eq,iq,jq->eij", wq * aq / h[:, None], V, D1)
-    loc += np.einsum("eq,iq,jq->eij", wq * cq, V, V)
-    rhs_loc = np.einsum("eq,iq->ei", wq * fq, V)
+    # local Galerkin blocks (k+1, k+1, nel) with the element axis innermost,
+    # so each einsum streams over elements; the unoptimised einsum adds
+    # (w T_i) S_j over q in ascending order, the order the pin test fixes
+    loc = eps * np.einsum("qe,iq,jq->ije", wq / (h * h)[None, :], D1, D1)
+    loc += np.einsum("qe,iq,jq->ije", wq * aq / h[None, :], V, D1)
+    loc += np.einsum("qe,iq,jq->ije", wq * cq, V, V)
+    # the load vector's two-operand sum changes bits unless it reads
+    # (nel, q)-contiguous samples
+    rhs_loc = np.einsum("eq,iq->ei", np.ascontiguousarray((wq * fq).T), V)
 
     if deltas is not None and np.any(deltas != 0.0):
-        hq = h[:, None]
-        trial = aq[:, None, :] * D1[None, :, :] / hq[:, None, :] + cq[:, None, :] * V[None, :, :]
+        test = aq[None, :, :] * D1[:, :, None] / h[None, None, :]  # (k+1, q, nel)
+        trial = test + cq[None, :, :] * V[:, :, None]
         if k >= 2:  # -eps v'' vanishes identically for k = 1
-            trial = trial - eps * D2[None, :, :] / (hq * hq)[:, None, :]
-        test = aq[:, None, :] * D1[None, :, :] / hq[:, None, :]
-        dw = deltas[:, None] * wq
-        loc += np.einsum("eq,eiq,ejq->eij", dw, test, trial)
-        rhs_loc += np.einsum("eq,eq,eiq->ei", dw, fq, test)
+            trial = trial - eps * D2[:, :, None] / (h * h)[None, None, :]
+        dw = deltas[None, :] * wq
+        loc += np.einsum("qe,iqe,jqe->ije", dw, test, trial)
+        rhs_loc += np.einsum("eq,eq,eiq->ei", dw.T, fq.T, test.transpose(2, 0, 1))
 
     # element e's local column jj is global column e*k + jj, and its local
     # row ii sits on band row k + ii - jj
     end = nel * k
     bands = np.zeros((2 * k + 1, end + 1))
     for jj in range(k + 1):
-        bands[k - jj : 2 * k + 1 - jj, jj : jj + end : k] += loc[:, :, jj].T
+        bands[k - jj : 2 * k + 1 - jj, jj : jj + end : k] += loc[:, jj, :]
     rhs = np.zeros(end + 1)
     rhs[:end] += rhs_loc[:, :k].ravel()
     rhs[k::k] += rhs_loc[:, k]

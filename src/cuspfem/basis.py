@@ -9,6 +9,7 @@ scalings are applied by the caller at assembly time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,7 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_rule(q: int) -> QuadratureRule:
     """q-point Gauss-Legendre rule on [0, 1]; exact for degree <= 2q-1."""
     q = int(q)
@@ -121,6 +123,7 @@ def gauss_rule(q: int) -> QuadratureRule:
     return QuadratureRule(0.5 * (pts + 1.0), 0.5 * wts)
 
 
+@functools.lru_cache(maxsize=None)
 def estimate_c_inv(k: int) -> float:
     """
     Smallest c with ||p''|| <= c ||p'|| (L2 on [0, 1]) over polynomials of

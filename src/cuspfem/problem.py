@@ -81,10 +81,10 @@ def make_test_problem(eps: float, lam: float) -> Problem:
     e1 = 1.0 + eps
     # boundary constants, reused so the cancellation at x = +-1 is exact
     k0 = e1 ** (lam / 2.0)
-    k1 = e1 ** ((lam - 1.0) / 2.0)
+    k1 = k0 / np.sqrt(e1)
 
     def a(x):
-        return -x * (1.0 + x * x)
+        return -(x * (1.0 + x * x))
 
     def a_dx(x):
         return -(1.0 + 3.0 * x * x)
@@ -93,31 +93,46 @@ def make_test_problem(eps: float, lam: float) -> Problem:
         return 1.0 + x * x
 
     def c(x):
-        return lam * (1.0 + x ** 3)
+        return lam * (1.0 + x * x * x)
+
+    def powers(x):
+        # w = x^2 + eps, w^(lam/2) and w^((lam-1)/2) from one power and one
+        # square root; u' and u'' divide these by w and w^2
+        w = x * x + eps
+        p0 = w ** (lam / 2.0)
+        return w, p0, p0 / np.sqrt(w)
+
+    # the term order here and in a keeps numpy's temporaries few: f holds at
+    # most six arrays of the size of x at once
+    def u_from(x, p0, p1):
+        return (p0 - k0) + x * (p1 - k1)
+
+    def du_from(x, w, p0, p1):
+        return x * (lam * p0 + (lam - 1.0) * x * p1) / w + (p1 - k1)
+
+    def ddu_from(x, w, p0, p1):
+        # x^2 = w - eps folds the four terms of u'' into two
+        return (
+            lam * p0 * ((lam - 1.0) * w - (lam - 2.0) * eps)
+            + (lam - 1.0) * x * p1 * (lam * w - (lam - 3.0) * eps)
+        ) / (w * w)
 
     def u(x):
-        w = x * x + eps
-        return (w ** (lam / 2.0) - k0) + x * (w ** ((lam - 1.0) / 2.0) - k1)
+        return u_from(x, *powers(x)[1:])
 
     def du(x):
-        w = x * x + eps
-        return (
-            lam * x * w ** ((lam - 2.0) / 2.0)
-            + (w ** ((lam - 1.0) / 2.0) - k1)
-            + (lam - 1.0) * x * x * w ** ((lam - 3.0) / 2.0)
-        )
+        return du_from(x, *powers(x))
 
     def ddu(x):
-        w = x * x + eps
-        return (
-            lam * w ** ((lam - 2.0) / 2.0)
-            + lam * (lam - 2.0) * x * x * w ** ((lam - 4.0) / 2.0)
-            + 3.0 * (lam - 1.0) * x * w ** ((lam - 3.0) / 2.0)
-            + (lam - 1.0) * (lam - 3.0) * x ** 3 * w ** ((lam - 5.0) / 2.0)
-        )
+        return ddu_from(x, *powers(x))
 
     def f(x):
-        return -eps * ddu(x) + a(x) * du(x) + c(x) * u(x)
+        w, p0, p1 = powers(x)
+        return (
+            -eps * ddu_from(x, w, p0, p1)
+            + du_from(x, w, p0, p1) * a(x)
+            + u_from(x, p0, p1) * c(x)
+        )
 
     return Problem(
         eps=eps,

@@ -109,3 +109,43 @@ def weak_form_on_exact(problem: Problem, mesh, k: int, family: str, points: int,
     for ii in range(k + 1):
         np.add.at(g, np.arange(mesh.n_intervals) * k + ii, loc[:, ii])
     return g[1:-1]
+
+
+def reference_assembly(problem: Problem, mesh, k: int, family: str, deltas=None):
+    """
+    Bands and rhs of the Galerkin (deltas None) or SDFEM system, from the
+    per-element sums in (element, point) layout: each local entry adds
+    (w T_i) S_j over the Gauss points in ascending order.  Any other order
+    of these sums moves errors that sit on the round-off floor, so the
+    assembly is pinned to this one bit for bit.
+    """
+    rule = gauss_rule(k + 3)
+    V, D1, D2 = _ref_basis(k, family).tables(rule.points)
+    h = mesh.lengths
+    xq = mesh.nodes[:-1, None] + h[:, None] * rule.points[None, :]
+    aq, cq, fq = problem.coeff_a(xq), problem.coeff_c(xq), problem.rhs_f(xq)
+    wq = rule.weights[None, :] * h[:, None]
+    eps = problem.eps
+    loc = eps * np.einsum("eq,iq,jq->eij", wq / (h * h)[:, None], D1, D1)
+    loc += np.einsum("eq,iq,jq->eij", wq * aq / h[:, None], V, D1)
+    loc += np.einsum("eq,iq,jq->eij", wq * cq, V, V)
+    rhs_loc = np.einsum("eq,iq->ei", wq * fq, V)
+    if deltas is not None and np.any(deltas != 0.0):
+        hq = h[:, None, None]
+        test = aq[:, None, :] * D1[None, :, :] / hq
+        trial = test + cq[:, None, :] * V[None, :, :]
+        if k >= 2:
+            trial = trial - eps * D2[None, :, :] / (hq * hq)
+        dw = deltas[:, None] * wq
+        loc += np.einsum("eq,eiq,ejq->eij", dw, test, trial)
+        rhs_loc += np.einsum("eq,eq,eiq->ei", dw, fq, test)
+    # each band entry and rhs entry takes at most two element contributions,
+    # so the order of the scatter does not change a bit
+    first = np.arange(h.size) * k
+    bands = np.zeros((2 * k + 1, h.size * k + 1))
+    rhs = np.zeros(h.size * k + 1)
+    for ii in range(k + 1):
+        rhs[first + ii] += rhs_loc[:, ii]
+        for jj in range(k + 1):
+            bands[k + ii - jj, first + jj] += loc[:, ii, jj]
+    return bands[:, 1:-1], rhs[1:-1]

@@ -368,3 +368,16 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[0])["K"] == 2
+
+
+def test_package_runs_as_module_without_warnings():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspfem", "mesh", "--eps", "1e-4", "--n", "8", "--k", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout.splitlines()[0])["N"] == 8

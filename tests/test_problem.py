@@ -81,6 +81,50 @@ class TestManufacturedSolution:
             assert prob.coeff_c(0.0) / abs(a_prime_0) == pytest.approx(lam, rel=1e-8)
 
 
+def closed_form_terms(eps, lam, x):
+    """
+    The terms of u, u', u'', c and f, each with every power of
+    w = x^2 + eps taken by its own `**`; f's terms are -eps u'', a u' and
+    c u split over the terms of u'', u' and u.
+    """
+    w = x * x + eps
+    e1 = 1.0 + eps
+    u = [w ** (lam / 2), -(e1 ** (lam / 2)), x * w ** ((lam - 1) / 2), -x * e1 ** ((lam - 1) / 2)]
+    du = [
+        lam * x * w ** ((lam - 2) / 2),
+        w ** ((lam - 1) / 2),
+        -(e1 ** ((lam - 1) / 2)),
+        (lam - 1) * x * x * w ** ((lam - 3) / 2),
+    ]
+    ddu = [
+        lam * w ** ((lam - 2) / 2),
+        lam * (lam - 2) * x * x * w ** ((lam - 4) / 2),
+        3 * (lam - 1) * x * w ** ((lam - 3) / 2),
+        (lam - 1) * (lam - 3) * x ** 3 * w ** ((lam - 5) / 2),
+    ]
+    c = [lam, lam * x ** 3]
+    a = -x * (1 + x * x)
+    f = [-eps * t for t in ddu] + [a * t for t in du] + [ci * t for ci in c for t in u]
+    return {"exact": u, "exact_dx": du, "exact_dxx": ddu, "coeff_c": c, "rhs_f": f}
+
+
+class TestManufacturedClosedForms:
+    # rounding is bounded by the size of the terms, not of their sum, which
+    # cancels near x = +-1 and vanishes identically for u'' at lam = 3
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("lam", [0.005, 0.25, 1.0, 1.5, 3.0, 8.9])
+    def test_evaluators_match_closed_forms(self, eps, lam):
+        rng = np.random.default_rng(5)
+        tiny = np.geomspace(1e-9, 1e-1, 17)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 64), [0.0, -1.0, 1.0], tiny, -tiny])
+        prob = make_test_problem(eps, lam)
+        for name, terms in closed_form_terms(eps, lam, x).items():
+            terms = np.broadcast_arrays(*terms)
+            value = getattr(prob, name)(x)
+            scale = np.sum(np.abs(terms), axis=0)
+            assert np.all(np.abs(value - np.sum(terms, axis=0)) <= 1e-12 * scale), name
+
+
 class TestProblemValidation:
     def test_drift_must_match_minus_x_b(self):
         with pytest.raises(ValueError):
