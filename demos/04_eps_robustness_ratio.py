@@ -8,7 +8,7 @@ energy * 100 * (N/(K+1))^k is nearly constant in N once the asymptotic
 regime is reached, which is exactly the claim error = O((N/(K+1))^-k).
 """
 
-from cuspfem import SweepConfig, emit, run_convergence, run_ratio_table
+from cuspfem import SweepConfig, emit, ratio_table, run_convergence
 
 sweep = SweepConfig(
     lam=0.005,
@@ -27,4 +27,4 @@ ratio = SweepConfig(
     k_list=(2,),
 )
 print("\nscaled ratio for P2 at eps = 1e-14 (plateau indicates sharpness):")
-print(emit(run_ratio_table(ratio), "markdown"))
+print(emit(ratio_table(run_convergence(ratio)), "markdown"))

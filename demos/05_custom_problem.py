@@ -2,11 +2,13 @@
 Plugging in a custom problem.
 
 Any -eps u'' + a u' + c u = f with a = -x b(x), b > 0, c >= 0, c(0) > 0
-fits the solver.  Providing the exact solution triple (u, u', u'') unlocks
-the error norms; registering a factory under a name makes the problem
-selectable from the CLI via --problem.
+fits the solver.  A Problem takes eps, b, c and f; the drift a = -x b
+(Problem.coeff_a) and the layer strength lambda_bar = c(0)/b(0) are
+computed from them.  Providing the exact solution triple (u, u', u'')
+unlocks the error norms; registering a factory under a name makes the
+problem selectable from the CLI via --problem.
 
-Here: a = -x, c = 1 and the manufactured solution u = 1 - x^2, which lies
+Here: b = 1 (so a = -x and lambda_bar = 1), c = 1 and the manufactured solution u = 1 - x^2, which lies
 in every P_k space with k >= 2, so the k = 2 solver reproduces it to
 rounding and the reported errors are pure machine noise.
 """
@@ -31,11 +33,9 @@ def quadratic_bump(eps: float, lam: float) -> Problem:
     u = lambda x: 1.0 - x * x
     return Problem(
         eps=eps,
-        coeff_a=lambda x: -x,
         coeff_b=lambda x: np.ones_like(x),
         coeff_c=lambda x: np.ones_like(x),
         rhs_f=lambda x: 2.0 * eps + 1.0 + x * x,
-        lambda_bar=1.0,
         exact=u,
         exact_dx=lambda x: -2.0 * x,
         exact_dxx=lambda x: -2.0 + 0.0 * x,

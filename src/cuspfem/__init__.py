@@ -26,14 +26,15 @@ from .basis import (
     reference_nodes,
 )
 from .experiments import (
+    ERROR_REPORT_COLUMNS,
     ConvergenceRow,
     SweepConfig,
     Table,
     convergence_rate,
     convergence_table,
     emit,
+    ratio_table,
     run_convergence,
-    run_ratio_table,
     sample_solution,
 )
 from .mesh import (
@@ -49,7 +50,6 @@ from .mesh import (
     validate_mesh,
 )
 from .norms import (
-    ERROR_REPORT_COLUMNS,
     ErrorReport,
     QuadSpec,
     error_norms,
@@ -67,53 +67,3 @@ from .problem import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssemblyError",
-    "ConvergenceRow",
-    "DiscreteFunction",
-    "ErrorReport",
-    "GammaEstimate",
-    "LinearSystem",
-    "Mesh",
-    "MeshConstructionError",
-    "MeshDiagnostics",
-    "MeshParams",
-    "Problem",
-    "QuadSpec",
-    "QuadratureRule",
-    "ReferenceBasis",
-    "SolverError",
-    "StabilizationProfile",
-    "SweepConfig",
-    "Table",
-    "apply_system",
-    "assemble_galerkin",
-    "assemble_sdfem",
-    "build_mesh",
-    "compute_big_k",
-    "compute_deltas",
-    "compute_sigma",
-    "convergence_rate",
-    "convergence_table",
-    "emit",
-    "error_norms",
-    "ERROR_REPORT_COLUMNS",
-    "estimate_c_inv",
-    "gamma_estimate",
-    "gauss_rule",
-    "global_nodes",
-    "interpolate",
-    "make_problem",
-    "make_test_problem",
-    "mesh_header",
-    "problem_names",
-    "reference_nodes",
-    "register_problem",
-    "run_convergence",
-    "run_ratio_table",
-    "sample_solution",
-    "save_mesh",
-    "solve_banded",
-    "validate_mesh",
-]

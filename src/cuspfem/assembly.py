@@ -91,6 +91,11 @@ def compute_deltas(
     return StabilizationProfile(capped, capped < deltas)
 
 
+def _check_profile(stab: StabilizationProfile, mesh: Mesh) -> None:
+    if stab.deltas.size != mesh.n_intervals:
+        raise ValueError("stabilization profile does not match the mesh")
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """
@@ -135,9 +140,13 @@ class DiscreteFunction:
             )
 
     def evaluate(self, x, d: int = 0) -> np.ndarray:
-        """Evaluate the d-th derivative (d in {0, 1, 2}) at points x."""
+        """Evaluate the d-th derivative (d in {0, 1, 2}) at points x in [-1, 1]."""
+        if d not in (0, 1, 2):
+            raise ValueError(f"derivative order must be 0, 1 or 2, got {d}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         nodes, h, k = self.mesh.nodes, self.mesh.lengths, self.order
+        if not np.all((x >= nodes[0]) & (x <= nodes[-1])):
+            raise ValueError("evaluation points must lie in [-1, 1]")
         e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, h.size - 1)
         t = (x - nodes[e]) / h[e]
         tab = _ref_basis(k, self.family).tables(t)[d]  # (k+1, npts)
@@ -251,8 +260,7 @@ def assemble_sdfem(
     """
     if stab is None:
         raise ValueError("assemble_sdfem needs a StabilizationProfile")
-    if stab.deltas.size != mesh.n_intervals:
-        raise ValueError("stabilization profile does not match the mesh")
+    _check_profile(stab, mesh)
     return _assemble(problem, mesh, k, family, quad_points or k + 3, stab.deltas)
 
 

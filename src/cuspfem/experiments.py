@@ -29,7 +29,7 @@ from .assembly import (
     solve_banded,
 )
 from .mesh import MeshConstructionError, MeshParams, build_mesh, mesh_header, save_mesh, validate_mesh
-from .norms import ERROR_REPORT_COLUMNS, NORM_NAMES, QuadSpec, error_norms
+from .norms import NORM_NAMES, QuadSpec, error_norms
 from .problem import make_problem, problem_names
 
 METHODS = ("fem", "sdfem")
@@ -166,18 +166,20 @@ def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
 
 CONVERGENCE_COLUMNS = ("eps", "N", "K", "k") + tuple(f.name for f in fields(ConvergenceRow)[4:])
 
+# the CLI's `solve` layout; family and policy come from the SweepConfig
+ERROR_REPORT_COLUMNS = ("eps", "N", "k", "family", "policy") + NORM_NAMES
+
 
 def convergence_table(rows: list[ConvergenceRow]) -> Table:
     return Table(CONVERGENCE_COLUMNS, tuple(astuple(r) for r in rows))
 
 
-def run_ratio_table(config: SweepConfig) -> Table:
+def ratio_table(rows: list[ConvergenceRow]) -> Table:
     """
     Energy error scaled by the predicted decay: entries
     energy * 100 * (N/(K+1))^k.  Stable entries across N indicate the
     predicted rate is sharp.
     """
-    rows = run_convergence(config)
     data = []
     for r in rows:
         if r.error is None:
@@ -399,23 +401,31 @@ def _print_table(config: SweepConfig, table: Table, failures=()) -> int:
     return 2 if failures else 0
 
 
-def _cmd_table(config: SweepConfig, make_table) -> int:
-    table = make_table(config)
-    idx = table.columns.index("error")
-    return _print_table(config, table, [row[idx] for row in table.rows if row[idx]])
-
-
-def _cmd_eps_sweep(config: SweepConfig) -> int:
-    rows = run_convergence(config)  # ordered eps, then k, then N
+def _layout(verb: str, config: SweepConfig, rows: list[ConvergenceRow]) -> Table:
+    """The table that a row verb prints for the rows of `run_convergence`."""
+    if verb == "converge":
+        return convergence_table(rows)
+    if verb == "ratio":
+        return ratio_table(rows)
+    if verb == "solve":
+        policy = config.delta_policy if config.method == "sdfem" else "none"
+        return Table(
+            ERROR_REPORT_COLUMNS,
+            tuple(
+                (r.eps, r.n_half, r.order, config.family, policy)
+                + tuple(getattr(r, m) for m in NORM_NAMES)
+                for r in rows
+            ),
+        )
+    # eps-sweep: one line per eps and one column per (k, N), the order of the rows
     norm = "sd" if config.method == "sdfem" else "energy"
     columns = ("eps",) + tuple(f"k{k}_n{n}" for k in config.k_list for n in config.n_list)
     width = len(columns) - 1
-    data = []
-    for i, eps in enumerate(config.eps_list):
-        group = rows[i * width : (i + 1) * width]
-        data.append((eps, *(getattr(r, norm) for r in group)))
-    failures = [r.error for r in rows if r.error is not None]
-    return _print_table(config, Table(columns, tuple(data)), failures)
+    data = tuple(
+        (eps, *(getattr(r, norm) for r in rows[i * width : (i + 1) * width]))
+        for i, eps in enumerate(config.eps_list)
+    )
+    return Table(columns, data)
 
 
 def _cmd_sample(config: SweepConfig, resolution: int) -> int:
@@ -426,29 +436,6 @@ def _cmd_sample(config: SweepConfig, resolution: int) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _print_table(config, table)
-
-
-def _cmd_solve(config: SweepConfig) -> int:
-    _require_single(config, "solve")
-    row = run_convergence(config)[0]
-    if row.error is not None:
-        print(f"error: {row.error}", file=sys.stderr)
-        return 2
-    policy = config.delta_policy if config.method == "sdfem" else "none"
-    case = (row.eps, row.n_half, row.order, config.family, policy)
-    norms = tuple(getattr(row, m) for m in NORM_NAMES)
-    return _print_table(config, Table(ERROR_REPORT_COLUMNS, (case + norms,)))
-
-
-_COMMANDS = {
-    "mesh": _cmd_mesh,
-    "solve": _cmd_solve,
-    "converge": lambda config: _cmd_table(
-        config, lambda cfg: convergence_table(run_convergence(cfg))
-    ),
-    "eps-sweep": _cmd_eps_sweep,
-    "ratio": lambda config: _cmd_table(config, run_ratio_table),
-}
 
 
 def main(argv=None) -> int:
@@ -463,9 +450,15 @@ def main(argv=None) -> int:
         quad = QuadSpec(**{key: given[key] for key in ("points", "panels") if key in given})
         settings = {f.name: given[f.name] for f in fields(SweepConfig) if f.name in given}
         config = SweepConfig(quad_error=quad, **settings)
+        if args.command == "mesh":
+            return _cmd_mesh(config)
         if args.command == "sample":
             return _cmd_sample(config, args.resolution)
-        return _COMMANDS[args.command](config)
+        if args.command == "solve":
+            _require_single(config, "solve")
+        rows = run_convergence(config)
+        failures = [r.error for r in rows if r.error is not None]
+        return _print_table(config, _layout(args.command, config, rows), failures)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import DiscreteFunction, StabilizationProfile, _ref_basis, global_nodes
+from .assembly import DiscreteFunction, StabilizationProfile, _check_profile, _ref_basis, global_nodes
 from .basis import gauss_rule
 from .mesh import Mesh
 from .problem import Problem
@@ -51,8 +51,6 @@ class ErrorReport:
 
 
 NORM_NAMES = tuple(f.name for f in fields(ErrorReport))
-
-ERROR_REPORT_COLUMNS = ("eps", "N", "k", "family", "policy") + NORM_NAMES
 
 
 def interpolate(problem: Problem, mesh: Mesh, k: int, family: str = "uniform") -> DiscreteFunction:
@@ -132,6 +130,8 @@ def error_norms(
         raise ValueError("error_norms needs a problem with exact solution")
     if mesh is not u_h.mesh and not np.array_equal(mesh.nodes, u_h.mesh.nodes):
         raise ValueError("mesh does not match the discrete function")
+    if stab is not None:
+        _check_profile(stab, mesh)
     pts, xq, wq = _composite_points(mesh, quad)
     vals, ders = _element_tables(u_h, pts)
     err = problem.exact(xq) - vals
@@ -156,6 +156,7 @@ def sd_distance(
     if a_fn.mesh is not b_fn.mesh and not np.array_equal(a_fn.mesh.nodes, b_fn.mesh.nodes):
         raise ValueError("discrete functions live on different meshes")
     mesh = a_fn.mesh
+    _check_profile(stab, mesh)
     diff = DiscreteFunction(
         mesh, a_fn.order, a_fn.family, a_fn.coefficients - b_fn.coefficients
     )

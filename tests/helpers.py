@@ -31,11 +31,9 @@ def patch_problem(eps: float = 1.0, degree: int = 2) -> Problem:
         raise ValueError(f"unsupported patch degree {degree}")
     return Problem(
         eps=eps,
-        coeff_a=lambda x: -x,
         coeff_b=lambda x: np.ones_like(x),
         coeff_c=lambda x: np.ones_like(x),
         rhs_f=lambda x: -eps * ddu(x) - x * du(x) + u(x),
-        lambda_bar=1.0,
         exact=u,
         exact_dx=du,
         exact_dxx=ddu,
@@ -53,11 +51,9 @@ def near_zero_coefficient_problem(eps: float = 1.0) -> Problem:
     tiny = 1e-280
     return Problem(
         eps=eps,
-        coeff_a=lambda x: -tiny * x,
         coeff_b=lambda x: np.full_like(x, tiny),
         coeff_c=lambda x: np.full_like(x, tiny),
         rhs_f=lambda x: np.zeros_like(x),
-        lambda_bar=1.0,
         coeff_a_dx=lambda x: np.full_like(x, -tiny),
         name="near-zero",
     )

@@ -30,8 +30,8 @@ from cuspfem import (
     error_norms,
     interpolate,
     make_test_problem,
+    ratio_table,
     run_convergence,
-    run_ratio_table,
     sd_distance,
     solve_banded,
     validate_mesh,
@@ -120,8 +120,8 @@ def test_04_supercloseness_slope():
 def test_05_scaled_ratio_plateau():
     """Energy * 100 * (N/(K+1))^k settles in [8.0, 8.9] at eps = 1e-14,
     k = 2, lambda = 0.25, with <= 5% movement from N = 2048 to 4096."""
-    table = run_ratio_table(
-        SweepConfig(lam=0.25, eps_list=(1e-14,), n_list=(2048, 4096), k_list=(2,))
+    table = ratio_table(
+        run_convergence(SweepConfig(lam=0.25, eps_list=(1e-14,), n_list=(2048, 4096), k_list=(2,)))
     )
     ratios = {row[1]: row[5] for row in table.rows}
     assert 8.0 <= ratios[4096] <= 8.9, ratios

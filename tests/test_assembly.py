@@ -245,11 +245,9 @@ class TestSolver:
 
         prob = Problem(
             eps=1.0,
-            coeff_a=lambda x: -x,
             coeff_b=lambda x: np.ones_like(x),
             coeff_c=lambda x: np.ones_like(x),
             rhs_f=f,
-            lambda_bar=1.0,
         )
         mesh = build_mesh(MeshParams(1.0, 128, 1, 1.0))
         with pytest.raises(AssemblyError, match="element"):
@@ -263,6 +261,20 @@ class TestSolver:
         assert fn(xs) == pytest.approx(1.0 - xs ** 2, abs=1e-11)
         assert fn(xs, d=1) == pytest.approx(-2.0 * xs, abs=1e-9)
         assert fn(0.5) == pytest.approx(0.75, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "x, d",
+        [(1.5, 0), (-1.0 - 1e-12, 0), (np.nan, 0), ([0.0, 1.5], 1), (0.5, -1), (0.5, 3)],
+        ids=["right-of-domain", "left-of-domain", "nan", "one-outside", "d-negative", "d-3"],
+    )
+    def test_evaluate_rejects_what_it_cannot_serve(self, x, d):
+        # u_h lives on [-1, 1] and the basis tables hold d = 0, 1, 2 only
+        prob = make_test_problem(1e-6, 0.25)
+        mesh = build_mesh(MeshParams(1e-6, 16, 2, 0.25))
+        fn = solve_banded(assemble_galerkin(prob, mesh, 2))
+        with pytest.raises(ValueError):
+            fn(x, d=d)
+        assert np.all(np.isfinite(fn([-1.0, 1.0], d=2)))
 
 
 class TestGalerkinOrthogonality:

@@ -19,8 +19,8 @@ from cuspfem import (
     Table,
     build_mesh,
     convergence_table,
+    ratio_table,
     run_convergence,
-    run_ratio_table,
     sample_solution,
 )
 from cuspfem.experiments import CONVERGENCE_COLUMNS, main
@@ -120,7 +120,7 @@ class TestSolveVerb:
     "argv, library",
     [
         (["converge", *SWEEP], lambda: convergence_table(run_convergence(SWEEP_CONFIG))),
-        (["ratio", *SWEEP], lambda: run_ratio_table(SWEEP_CONFIG)),
+        (["ratio", *SWEEP], lambda: ratio_table(run_convergence(SWEEP_CONFIG))),
         (
             ["eps-sweep", *SWEEP, "--method", "sdfem"],
             lambda: _eps_sweep_table(replace(SWEEP_CONFIG, method="sdfem")),

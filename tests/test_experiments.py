@@ -13,9 +13,9 @@ from cuspfem import (
     convergence_table,
     emit,
     make_test_problem,
+    ratio_table,
     register_problem,
     run_convergence,
-    run_ratio_table,
     sample_solution,
 )
 from cuspfem.experiments import CONVERGENCE_COLUMNS
@@ -110,7 +110,9 @@ class TestConvergenceTable:
 
 class TestRatioTable:
     def test_entries_follow_definition(self):
-        table = run_ratio_table(SweepConfig(lam=0.25, eps_list=(1.0,), n_list=(64, 128), k_list=(2,)))
+        table = ratio_table(
+            run_convergence(SweepConfig(lam=0.25, eps_list=(1.0,), n_list=(64, 128), k_list=(2,)))
+        )
         assert table.columns == ("eps", "N", "K", "k", "energy", "ratio", "error")
         for eps, n, big_k, k, energy, ratio, err in table.rows:
             assert err is None
@@ -118,7 +120,9 @@ class TestRatioTable:
 
     def test_smooth_regime_value(self):
         # eps = 1 entries sit near 3.9 once N is moderately large
-        table = run_ratio_table(SweepConfig(lam=0.25, eps_list=(1.0,), n_list=(256,), k_list=(2,)))
+        table = ratio_table(
+            run_convergence(SweepConfig(lam=0.25, eps_list=(1.0,), n_list=(256,), k_list=(2,)))
+        )
         ratio = table.rows[0][5]
         assert 3.7 <= ratio <= 4.1
 

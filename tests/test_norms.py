@@ -11,6 +11,7 @@ from cuspfem import (
     MeshParams,
     Problem,
     QuadSpec,
+    StabilizationProfile,
     assemble_sdfem,
     assemble_galerkin,
     build_mesh,
@@ -29,11 +30,9 @@ def constant_one_problem(eps: float) -> Problem:
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return Problem(
         eps=eps,
-        coeff_a=lambda x: -x,
         coeff_b=one,
         coeff_c=one,
         rhs_f=one,
-        lambda_bar=1.0,
         exact=one,
         exact_dx=zero,
         exact_dxx=zero,
@@ -46,11 +45,9 @@ def zero_exact_problem(eps: float) -> Problem:
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return Problem(
         eps=eps,
-        coeff_a=lambda x: -x,
         coeff_b=one,
         coeff_c=one,
         rhs_f=zero,
-        lambda_bar=1.0,
         exact=zero,
         exact_dx=zero,
         exact_dxx=zero,
@@ -89,11 +86,9 @@ class TestInterpolate:
         prob = make_test_problem(1e-6, 0.25)
         bare = Problem(
             eps=prob.eps,
-            coeff_a=prob.coeff_a,
             coeff_b=prob.coeff_b,
             coeff_c=prob.coeff_c,
             rhs_f=prob.rhs_f,
-            lambda_bar=prob.lambda_bar,
         )
         mesh = build_mesh(MeshParams(1e-6, 16, 1, 0.25))
         with pytest.raises(ValueError):
@@ -149,6 +144,37 @@ class TestErrorNorms:
         fn = interpolate(prob, mesh, 1)
         with pytest.raises(ValueError):
             error_norms(fn, prob, other)
+
+
+def mismatched_profiles(mesh) -> list[StabilizationProfile]:
+    """A 1-entry profile and one built on twice the mesh's N; neither fits."""
+    eps = mesh.params.eps
+    finer = build_mesh(MeshParams(eps, 2 * mesh.params.n_half, mesh.params.order, mesh.params.lam))
+    return [
+        StabilizationProfile(np.array([1e-3]), np.zeros(1, dtype=bool)),
+        compute_deltas(finer, eps),
+    ]
+
+
+class TestProfileSize:
+    # eps 1e-6, N 16, k 2, Galerkin: a 1-entry profile used to broadcast
+    # silently and an N = 32 one to fail inside numpy
+    def setup_method(self):
+        self.prob = make_test_problem(1e-6, 0.25)
+        self.mesh = build_mesh(MeshParams(1e-6, 16, 2, 0.25))
+        self.fn = solve_banded(assemble_galerkin(self.prob, self.mesh, 2))
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["one-entry", "finer-mesh"])
+    def test_error_norms_rejects_mismatch(self, which):
+        stab = mismatched_profiles(self.mesh)[which]
+        with pytest.raises(ValueError, match="stabilization profile does not match the mesh"):
+            error_norms(self.fn, self.prob, self.mesh, stab=stab)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["one-entry", "finer-mesh"])
+    def test_sd_distance_rejects_mismatch(self, which):
+        stab = mismatched_profiles(self.mesh)[which]
+        with pytest.raises(ValueError, match="stabilization profile does not match the mesh"):
+            sd_distance(interpolate(self.prob, self.mesh, 2), self.fn, self.prob, stab)
 
 
 class TestSdDistance:

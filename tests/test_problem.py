@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,7 @@ class TestManufacturedSolution:
     def test_coefficient_structure(self):
         prob = make_test_problem(1e-6, 0.25)
         x = np.linspace(-1.0, 1.0, 101)
-        assert prob.coeff_a(x) == pytest.approx(-x * (1 + x * x), abs=1e-15)
+        assert np.array_equal(prob.coeff_a(x), -(x * (1 + x * x)))
         assert prob.coeff_b(x) == pytest.approx(1 + x * x, abs=1e-15)
         assert prob.coeff_c(x) == pytest.approx(0.25 * (1 + x ** 3), abs=1e-15)
 
@@ -79,6 +80,20 @@ class TestManufacturedSolution:
             a_prime_0 = fd_first(prob.coeff_a, np.array([0.0]), np.array([1e-5]))[0]
             assert prob.lambda_bar == lam
             assert prob.coeff_c(0.0) / abs(a_prime_0) == pytest.approx(lam, rel=1e-8)
+
+    def test_drift_and_lambda_bar_follow_from_b_and_c(self):
+        prob = Problem(
+            eps=1e-4,
+            coeff_b=lambda x: 2.0 + x * x,
+            coeff_c=lambda x: np.full_like(np.asarray(x, dtype=float), 3.0),
+            rhs_f=lambda x: np.zeros_like(x),
+        )
+        x = np.linspace(-1.0, 1.0, 101)
+        assert np.array_equal(prob.coeff_a(x), -(x * (2.0 + x * x)))
+        assert prob.lambda_bar == 1.5
+
+    def test_derived_data_is_not_a_field(self):
+        assert not {f.name for f in fields(Problem)} & {"coeff_a", "lambda_bar"}
 
 
 def closed_form_terms(eps, lam, x):
@@ -126,57 +141,38 @@ class TestManufacturedClosedForms:
 
 
 class TestProblemValidation:
-    def test_drift_must_match_minus_x_b(self):
-        with pytest.raises(ValueError):
-            Problem(
-                eps=1e-4,
-                coeff_a=lambda x: -2.0 * x,
-                coeff_b=lambda x: np.ones_like(x),
-                coeff_c=lambda x: np.ones_like(x),
-                rhs_f=lambda x: np.zeros_like(x),
-                lambda_bar=1.0,
-            )
-
     def test_b_must_be_positive(self):
         with pytest.raises(ValueError):
             Problem(
                 eps=1e-4,
-                coeff_a=lambda x: -x * (x - 0.5),
                 coeff_b=lambda x: x - 0.5,
                 coeff_c=lambda x: np.ones_like(x),
                 rhs_f=lambda x: np.zeros_like(x),
-                lambda_bar=1.0,
             )
 
     def test_c_must_be_nonnegative_and_positive_at_origin(self):
         with pytest.raises(ValueError):
             Problem(
                 eps=1e-4,
-                coeff_a=lambda x: -x,
                 coeff_b=lambda x: np.ones_like(x),
                 coeff_c=lambda x: x * 1.0,
                 rhs_f=lambda x: np.zeros_like(x),
-                lambda_bar=0.0,
             )
         with pytest.raises(ValueError):
             Problem(
                 eps=1e-4,
-                coeff_a=lambda x: -x,
                 coeff_b=lambda x: np.ones_like(x),
                 coeff_c=lambda x: x * x,
                 rhs_f=lambda x: np.zeros_like(x),
-                lambda_bar=0.0,
             )
 
     def test_partial_exact_triple_rejected(self):
         with pytest.raises(ValueError):
             Problem(
                 eps=1e-4,
-                coeff_a=lambda x: -x,
                 coeff_b=lambda x: np.ones_like(x),
                 coeff_c=lambda x: np.ones_like(x),
                 rhs_f=lambda x: np.zeros_like(x),
-                lambda_bar=1.0,
                 exact=lambda x: np.zeros_like(x),
             )
 
@@ -199,11 +195,9 @@ class TestGammaEstimate:
     def test_constant_coefficient_toy(self):
         prob = Problem(
             eps=1e-4,
-            coeff_a=lambda x: -x,
             coeff_b=lambda x: np.ones_like(x),
             coeff_c=lambda x: np.ones_like(x),
             rhs_f=lambda x: np.zeros_like(x),
-            lambda_bar=1.0,
             coeff_a_dx=lambda x: -np.ones_like(x),
         )
         est = gamma_estimate(prob)
@@ -214,11 +208,9 @@ class TestGammaEstimate:
     def test_refines_off_grid_minimum(self, x0):
         prob = Problem(
             eps=1e-4,
-            coeff_a=lambda x: -x,
             coeff_b=lambda x: np.ones_like(x),
             coeff_c=lambda x: 1.0 + (x - x0) ** 2,
             rhs_f=lambda x: np.zeros_like(x),
-            lambda_bar=1.0,
             coeff_a_dx=lambda x: -np.ones_like(x),
         )
         est = gamma_estimate(prob)
@@ -246,11 +238,9 @@ class TestGammaEstimate:
         # b + x b' = (1 - 5 x^2) / (1 + 5 x^2)^2 dips below -2c near x = 1
         prob = Problem(
             eps=1e-4,
-            coeff_a=lambda x: -x / (1 + 5 * x * x),
             coeff_b=lambda x: 1.0 / (1 + 5 * x * x),
             coeff_c=lambda x: np.full_like(np.asarray(x, dtype=float), 0.01),
             rhs_f=lambda x: np.zeros_like(x),
-            lambda_bar=0.01,
         )
         with pytest.raises(ValueError, match="coercivity"):
             gamma_estimate(prob)
