@@ -4,7 +4,8 @@ Plugging in a custom problem.
 Any -eps u'' + a u' + c u = f with a = -x b(x), b > 0, c >= 0, c(0) > 0
 fits the solver.  A Problem takes eps, b, c and f; the drift a = -x b
 (Problem.coeff_a) and the layer strength lambda_bar = c(0)/b(0) are
-computed from them.  Providing the exact solution triple (u, u', u'')
+computed from them, and a' is differenced from a where the theorem-capped
+deltas need it.  Providing the exact solution and its derivative (u, u')
 unlocks the error norms; registering a factory under a name makes the
 problem selectable from the CLI via --problem.
 
@@ -38,9 +39,6 @@ def quadratic_bump(eps: float, lam: float) -> Problem:
         rhs_f=lambda x: 2.0 * eps + 1.0 + x * x,
         exact=u,
         exact_dx=lambda x: -2.0 * x,
-        exact_dxx=lambda x: -2.0 + 0.0 * x,
-        coeff_a_dx=lambda x: -np.ones_like(x),
-        name="quadratic-bump",
     )
 
 

@@ -57,7 +57,6 @@ from .norms import (
     sd_distance,
 )
 from .problem import (
-    GammaEstimate,
     Problem,
     gamma_estimate,
     make_problem,

@@ -79,7 +79,7 @@ def compute_deltas(
         return StabilizationProfile(deltas, np.zeros(h.size, dtype=bool))
     if problem is None or k is None:
         raise ValueError("theorem-capped policy needs problem and k")
-    gamma = gamma_estimate(problem).gamma
+    gamma = gamma_estimate(problem)
     c_inf = float(np.max(problem.coeff_c(np.linspace(-1.0, 1.0, 4097))))
     cap = np.full(h.size, gamma / (2.0 * c_inf * c_inf))
     if k >= 2:
@@ -140,10 +140,12 @@ class DiscreteFunction:
             )
 
     def evaluate(self, x, d: int = 0) -> np.ndarray:
-        """Evaluate the d-th derivative (d in {0, 1, 2}) at points x in [-1, 1]."""
+        """Evaluate the d-th derivative (d in {0, 1, 2}) at points x in [-1, 1],
+        in the shape of x."""
         if d not in (0, 1, 2):
             raise ValueError(f"derivative order must be 0, 1 or 2, got {d}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        shape, x = x.shape, x.ravel()
         nodes, h, k = self.mesh.nodes, self.mesh.lengths, self.order
         if not np.all((x >= nodes[0]) & (x <= nodes[-1])):
             raise ValueError("evaluation points must lie in [-1, 1]")
@@ -152,7 +154,8 @@ class DiscreteFunction:
         tab = _ref_basis(k, self.family).tables(t)[d]  # (k+1, npts)
         idx = e[:, None] * k + np.arange(k + 1)[None, :]
         vals = np.sum(self.coefficients[idx] * tab.T, axis=1)
-        return vals / h[e] ** d if d else vals
+        # [()] makes a scalar of the 0-d result for a scalar x
+        return (vals / h[e] ** d if d else vals).reshape(shape)[()]
 
     __call__ = evaluate
 

@@ -54,15 +54,11 @@ class SweepConfig:
     delta_policy: str = "standard"
     quad_assembly: int = 0  # 0 selects the default k + 3
     quad_error: QuadSpec = QuadSpec()
-    out: Optional[str] = None
-    fmt: str = "csv"
     workers: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ValueError("n_list must be strictly ascending")
         if not (self.eps_list and self.n_list and self.k_list):
@@ -295,7 +291,8 @@ _CONFIG_KEYS = frozenset(
 
 
 def _add_common(sp) -> None:
-    # unset flags stay None so that SweepConfig and QuadSpec hold the defaults
+    # unset flags stay None so that SweepConfig and QuadSpec hold the
+    # defaults; --out and --format go to emit and save_mesh, not to SweepConfig
     sp.add_argument("--config", help="JSON file with the same keys as the flags; flags override")
     sp.add_argument("--problem", choices=problem_names())
     sp.add_argument("--eps", dest="eps_list", type=_floats, metavar="E1[,E2,...]")
@@ -316,7 +313,7 @@ def _add_common(sp) -> None:
     sp.add_argument("--quad-error-points", dest="points", type=int)
     sp.add_argument("--quad-error-panels", dest="panels", type=int)
     sp.add_argument("--out", help="output file path")
-    sp.add_argument("--format", dest="fmt", choices=FORMATS)
+    sp.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
     sp.add_argument("--workers", type=int)
 
 
@@ -371,7 +368,7 @@ def _require_single(config: SweepConfig, verb: str) -> tuple[float, int, int]:
     return config.eps_list[0], config.n_list[0], config.k_list[0]
 
 
-def _cmd_mesh(config: SweepConfig) -> int:
+def _cmd_mesh(config: SweepConfig, args: argparse.Namespace) -> int:
     eps, n, k = _require_single(config, "mesh")
     try:
         mesh = build_mesh(MeshParams(eps, n, k, config.lam))
@@ -380,8 +377,8 @@ def _cmd_mesh(config: SweepConfig) -> int:
         return 2
     diag = validate_mesh(mesh)
     print(json.dumps(mesh_header(mesh)))
-    if config.out:
-        save_mesh(mesh, config.out)
+    if args.out:
+        save_mesh(mesh, args.out)
     if not diag.ok:
         for v in diag.violations:
             print(f"violation: {v}", file=sys.stderr)
@@ -390,11 +387,11 @@ def _cmd_mesh(config: SweepConfig) -> int:
     return 0
 
 
-def _print_table(config: SweepConfig, table: Table, failures=()) -> int:
-    """Emit the table (to stdout when there is no --out), report each
-    failure on stderr, and return the exit code."""
-    text = emit(table, config.fmt, config.out)
-    if config.out is None:
+def _print_table(args: argparse.Namespace, table: Table, failures=()) -> int:
+    """Emit the table in --format (to stdout when there is no --out),
+    report each failure on stderr, and return the exit code."""
+    text = emit(table, args.fmt, args.out)
+    if args.out is None:
         print(text, end="")
     for msg in failures:
         print(f"row failure: {msg}", file=sys.stderr)
@@ -428,14 +425,14 @@ def _layout(verb: str, config: SweepConfig, rows: list[ConvergenceRow]) -> Table
     return Table(columns, data)
 
 
-def _cmd_sample(config: SweepConfig, resolution: int) -> int:
+def _cmd_sample(config: SweepConfig, args: argparse.Namespace) -> int:
     _require_single(config, "sample")
     try:
-        table = sample_solution(config, resolution)
+        table = sample_solution(config, args.resolution)
     except _CASE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _print_table(config, table)
+    return _print_table(args, table)
 
 
 def main(argv=None) -> int:
@@ -451,14 +448,14 @@ def main(argv=None) -> int:
         settings = {f.name: given[f.name] for f in fields(SweepConfig) if f.name in given}
         config = SweepConfig(quad_error=quad, **settings)
         if args.command == "mesh":
-            return _cmd_mesh(config)
+            return _cmd_mesh(config, args)
         if args.command == "sample":
-            return _cmd_sample(config, args.resolution)
+            return _cmd_sample(config, args)
         if args.command == "solve":
             _require_single(config, "solve")
         rows = run_convergence(config)
         failures = [r.error for r in rows if r.error is not None]
-        return _print_table(config, _layout(args.command, config, rows), failures)
+        return _print_table(args, _layout(args.command, config, rows), failures)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

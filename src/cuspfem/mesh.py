@@ -146,9 +146,7 @@ class MeshDiagnostics:
     """Validation outcome: empty `violations` means all invariants hold."""
 
     violations: tuple[str, ...]
-    n_intervals: int
     max_length: float
-    length_bound: float
 
     @property
     def ok(self) -> bool:
@@ -203,7 +201,7 @@ def validate_mesh(mesh: Mesh) -> MeshDiagnostics:
         if x1 > x1_bound * (1.0 + 1e-12):
             bad.append(f"x_1 = {x1} exceeds (K+1) N^-(2k+2) = {x1_bound}")
 
-    return MeshDiagnostics(tuple(bad), lengths.size, max_len, length_bound)
+    return MeshDiagnostics(tuple(bad), max_len)
 
 
 def mesh_header(mesh: Mesh) -> dict:

@@ -36,9 +36,6 @@ def patch_problem(eps: float = 1.0, degree: int = 2) -> Problem:
         rhs_f=lambda x: -eps * ddu(x) - x * du(x) + u(x),
         exact=u,
         exact_dx=du,
-        exact_dxx=ddu,
-        coeff_a_dx=lambda x: -np.ones_like(x),
-        name="patch",
     )
 
 
@@ -54,8 +51,6 @@ def near_zero_coefficient_problem(eps: float = 1.0) -> Problem:
         coeff_b=lambda x: np.full_like(x, tiny),
         coeff_c=lambda x: np.full_like(x, tiny),
         rhs_f=lambda x: np.zeros_like(x),
-        coeff_a_dx=lambda x: np.full_like(x, -tiny),
-        name="near-zero",
     )
 
 

@@ -262,6 +262,16 @@ class TestSolver:
         assert fn(xs, d=1) == pytest.approx(-2.0 * xs, abs=1e-9)
         assert fn(0.5) == pytest.approx(0.75, abs=1e-11)
 
+    def test_evaluate_keeps_the_shape_of_x(self):
+        prob = patch_problem(eps=1.0, degree=2)
+        mesh = build_mesh(MeshParams(1.0, 16, 2, 1.0))
+        fn = solve_banded(assemble_galerkin(prob, mesh, 2))
+        grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        for d in (0, 1, 2):
+            assert np.ndim(fn(0.5, d)) == 0
+            assert fn(0.5, d) == fn(np.array([0.5]), d)[0]
+            assert np.array_equal(fn(grid, d), fn(grid.ravel(), d).reshape(3, 4))
+
     @pytest.mark.parametrize(
         "x, d",
         [(1.5, 0), (-1.0 - 1e-12, 0), (np.nan, 0), ([0.0, 1.5], 1), (0.5, -1), (0.5, 3)],

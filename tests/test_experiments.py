@@ -84,8 +84,8 @@ class TestRunConvergence:
             SweepConfig(n_list=(32, 16))
         with pytest.raises(ValueError):
             SweepConfig(method="collocation")
-        with pytest.raises(ValueError):
-            SweepConfig(fmt="yaml")
+        with pytest.raises(ValueError, match="unknown format"):
+            emit(Table(("a",), ()), "yaml")
         with pytest.raises(ValueError):
             SweepConfig(workers=0)
         with pytest.raises(ValueError):

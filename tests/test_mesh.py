@@ -168,9 +168,10 @@ class TestBuildMesh:
 class TestValidateMesh:
     def test_clean_meshes_pass(self):
         for eps, n, k, lam in [(1.0, 10, 1, 0.5), (1e-10, 512, 2, 0.005), (1e-30, 64, 3, 0.25)]:
-            diag = validate_mesh(build_mesh(MeshParams(eps, n, k, lam)))
+            mesh = build_mesh(MeshParams(eps, n, k, lam))
+            diag = validate_mesh(mesh)
             assert diag.ok, diag.violations
-            assert diag.n_intervals == 2 * n
+            assert mesh.n_intervals == 2 * n
 
     def test_displaced_node_flagged(self):
         good = build_mesh(MeshParams(1e-6, 32, 1, 0.25))

@@ -35,8 +35,6 @@ def constant_one_problem(eps: float) -> Problem:
         rhs_f=one,
         exact=one,
         exact_dx=zero,
-        exact_dxx=zero,
-        coeff_a_dx=lambda x: -one(x),
     )
 
 
@@ -50,8 +48,6 @@ def zero_exact_problem(eps: float) -> Problem:
         rhs_f=zero,
         exact=zero,
         exact_dx=zero,
-        exact_dxx=zero,
-        coeff_a_dx=lambda x: -one(x),
     )
 
 
