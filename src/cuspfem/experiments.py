@@ -310,8 +310,15 @@ def _add_common(sp) -> None:
     sp.add_argument("--c0", type=float)
     sp.add_argument("--delta-policy", choices=("standard", "theorem-capped"))
     sp.add_argument("--quad-assembly", type=int, help="Gauss points per element (0 = k+3)")
-    sp.add_argument("--quad-error-points", dest="points", type=int)
-    sp.add_argument("--quad-error-panels", dest="panels", type=int)
+    sp.add_argument(
+        "--quad-error-points", dest="points", type=int,
+        help="error-norm Gauss points per panel, raised to k+3 (default 5)",
+    )
+    sp.add_argument(
+        "--quad-error-panels", dest="panels", type=int,
+        help="most error-norm panels on any element; each panel spans at most "
+        "half of |x| + sqrt(eps) (default 8)",
+    )
     sp.add_argument("--out", help="output file path")
     sp.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
     sp.add_argument("--workers", type=int)

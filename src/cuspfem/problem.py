@@ -147,11 +147,14 @@ def _a_prime(a: Evaluator, x: np.ndarray) -> np.ndarray:
     +-1 so all evaluation points stay inside the domain."""
     h = 1e-4
     xc = np.clip(x, -1.0 + 2 * h, 1.0 - 2 * h)
-    am1, ap1 = a(xc - h), a(xc + h)
-    d = (a(xc - 2 * h) - 8 * am1 + 8 * ap1 - a(xc + 2 * h)) / (12 * h)
-    # correct for the recentering to second order: a'(x) ~ a'(xc) + a''(xc)(x-xc)
+    am2, am1, ap1, ap2 = a(xc - 2 * h), a(xc - h), a(xc + h), a(xc + 2 * h)
+    d = (am2 - 8 * am1 + 8 * ap1 - ap2) / (12 * h)
+    # correct for the recentering to third order, exact for cubic a:
+    # a'(x) ~ a'(xc) + a''(xc) s + a'''(xc) s^2 / 2 with s = x - xc
     dd = (am1 - 2 * a(xc) + ap1) / (h * h)
-    return d + dd * (x - xc)
+    ddd = (ap2 - 2 * ap1 + 2 * am1 - am2) / (2 * h ** 3)
+    s = x - xc
+    return d + dd * s + ddd * (s * s / 2)
 
 
 def gamma_estimate(problem: Problem, grid_size: int = 2001) -> float:

@@ -79,19 +79,45 @@ def discrete_l2(fn: DiscreteFunction) -> float:
     return float(np.sqrt(np.sum(rule.weights[None, :] * fn.mesh.lengths[:, None] * vals ** 2)))
 
 
+def uniform_composite_rule(mesh, points: int, panels: int):
+    """`points` Gauss points on each of `panels` equal panels of every
+    element: reference points, and physical points and weights of shape
+    (nel, points * panels)."""
+    rule = gauss_rule(points)
+    pts = (np.arange(panels)[:, None] / panels + rule.points[None, :] / panels).ravel()
+    wts = np.tile(rule.weights / panels, panels)
+    h = mesh.lengths
+    xq = mesh.nodes[:-1, None] + h[:, None] * pts[None, :]
+    wq = wts[None, :] * h[:, None]
+    return pts, xq, wq
+
+
+def uniform_error_norms(fn: DiscreteFunction, problem: Problem, stab, points: int, panels: int) -> np.ndarray:
+    """
+    (l2, energy, sd, weighted_xdp) of u - fn with the same rule on every
+    element, independent of the layer-graded rule in cuspfem.norms.
+    """
+    pts, xq, wq = uniform_composite_rule(fn.mesh, points, panels)
+    V, D1, _ = _ref_basis(fn.order, fn.family).tables(pts)
+    k, h = fn.order, fn.mesh.lengths
+    coef = fn.coefficients[np.arange(h.size)[:, None] * k + np.arange(k + 1)[None, :]]
+    err = problem.exact(xq) - coef @ V
+    derr = problem.exact_dx(xq) - (coef @ D1) / h[:, None]
+    l2 = np.sum(wq * err * err)
+    h1 = problem.eps * np.sum(wq * derr * derr)
+    sd = 0.0 if stab is None else np.sum(stab.deltas[:, None] * wq * (problem.coeff_a(xq) * derr) ** 2)
+    return np.sqrt([l2, h1 + l2, h1 + l2 + sd, np.sum(wq * (xq * derr) ** 2)])
+
+
 def weak_form_on_exact(problem: Problem, mesh, k: int, family: str, points: int, panels: int):
     """
     Vector g with g[i] = B(u, phi_i) = (eps u', phi_i') + (a u', phi_i)
     + (c u, phi_i), integrated with a composite Gauss rule, boundary rows
     dropped.  Independent of the assembly code path.
     """
-    rule = gauss_rule(points)
-    pts = (np.arange(panels)[:, None] / panels + rule.points[None, :] / panels).ravel()
-    wts = np.tile(rule.weights / panels, panels)
+    pts, xq, wq = uniform_composite_rule(mesh, points, panels)
     V, D1, _ = _ref_basis(k, family).tables(pts)
     h = mesh.lengths
-    xq = mesh.nodes[:-1, None] + h[:, None] * pts[None, :]
-    wq = wts[None, :] * h[:, None]
     up = problem.exact_dx(xq)
     integrand_dphi = problem.eps * up * wq / h[:, None]       # pairs with phi_i'
     integrand_phi = (problem.coeff_a(xq) * up + problem.coeff_c(xq) * problem.exact(xq)) * wq

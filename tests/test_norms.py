@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from helpers import patch_problem, zero_stab
+from helpers import patch_problem, uniform_error_norms, zero_stab
 
 from cuspfem import (
     DiscreteFunction,
@@ -23,6 +24,7 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
+from cuspfem.norms import _panel_counts
 
 
 def constant_one_problem(eps: float) -> Problem:
@@ -219,3 +221,81 @@ class TestSdDistance:
             QuadSpec(points=2)
         with pytest.raises(ValueError):
             QuadSpec(panels=0)
+
+
+def solved(method: str, k: int, eps: float, lam: float, n: int):
+    prob = make_test_problem(eps, lam)
+    mesh = build_mesh(MeshParams(eps, n, k, lam))
+    if method == "galerkin":
+        return prob, mesh, None, solve_banded(assemble_galerkin(prob, mesh, k))
+    stab = compute_deltas(mesh, eps)
+    return prob, mesh, stab, solve_banded(assemble_sdfem(prob, mesh, k, stab=stab))
+
+
+def gate_cases():
+    """Galerkin and SDFEM, k 1..8, five eps and four lambda (all <= k + 1)
+    at N = 8, plus N = 32 where the inner elements are thinnest."""
+    for method, k, eps, lam in itertools.product(
+        ("galerkin", "sdfem"), range(1, 9), (1.0, 1e-3, 1e-6, 1e-10, 1e-14), (0.005, 0.25, 1.0, 1.9)
+    ):
+        yield method, k, eps, lam, 8
+        if eps <= 1e-10 and lam <= 0.25:
+            yield method, k, eps, lam, 32
+
+
+class TestLayerGradedQuadrature:
+    def test_accuracy_against_uniform_reference(self):
+        # each norm within max(1e-3 ref, 2 |old - ref|) of a 16-point x
+        # 64-panel reference, old being the former uniform 5 x 8 rule;
+        # errors below 1e-9 are left out, there e is rounding noise
+        failures, gated = [], 0
+        for case in gate_cases():
+            prob, mesh, stab, fn = solved(*case)
+            ref = uniform_error_norms(fn, prob, stab, 16, 64)
+            if ref[1] < 1e-9:
+                continue
+            gated += 1
+            old = uniform_error_norms(fn, prob, stab, 5, 8)
+            rep = error_norms(fn, prob, mesh, stab)
+            new = np.array([rep.l2, rep.energy, rep.sd, rep.weighted_xdp])
+            if np.any(np.abs(new - ref) > np.maximum(1e-3 * ref, 2 * np.abs(old - ref))):
+                failures.append(case)
+        assert failures == []
+        assert gated >= 300
+
+    def test_points_raised_to_k_plus_3(self):
+        prob, mesh, stab, fn = solved("sdfem", 4, 1e-6, 0.25, 16)
+        assert error_norms(fn, prob, mesh, stab, QuadSpec(3, 1)) == error_norms(
+            fn, prob, mesh, stab, QuadSpec(7, 1)
+        )
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-6, 1e-14])
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_fine_mesh_one_panel_per_element(self, eps, k):
+        # above lambda = 0.5 the elements next to 0 may keep more: the mesh
+        # there can be uniform and coarser than sqrt(eps)
+        mesh = build_mesh(MeshParams(eps, 512, k, 0.25))
+        assert np.all(_panel_counts(mesh, eps, 8) == 1)
+
+    @pytest.mark.parametrize("cap", [3, 8])
+    def test_coarse_mesh_reaches_cap_next_to_zero(self, cap):
+        # N = 8 at eps 1e-10 puts whole decades in one element:
+        # [-1e-2, -1e-3] is 9 times as long as its distance from 0
+        eps = 1e-10
+        mesh = build_mesh(MeshParams(eps, 8, 2, 0.25))
+        counts = _panel_counts(mesh, eps, cap)
+        assert mesh.nodes[4] == -1e-2 and mesh.nodes[5] == -1e-3
+        assert counts.max() == cap
+        assert counts[4] == counts[-5] == cap
+        # [-1e-5, 0] touches 0 and is twice half the layer scale sqrt(eps)
+        assert counts[7] == counts[8] == 2
+
+    def test_sd_distance_uses_the_error_norm_panels(self):
+        eps = 1e-10
+        prob, mesh, stab, fn = solved("sdfem", 3, eps, 0.25, 32)
+        assert len(np.unique(_panel_counts(mesh, eps, 8))) > 2
+        interp = interpolate(prob, mesh, 3)
+        diff = DiscreteFunction(mesh, 3, "uniform", interp.coefficients - fn.coefficients)
+        zero = lambda x: np.zeros_like(x)
+        zero_exact = Problem(eps, prob.coeff_b, prob.coeff_c, prob.rhs_f, exact=zero, exact_dx=zero)
+        assert sd_distance(interp, fn, prob, stab) == error_norms(diff, zero_exact, mesh, stab).sd

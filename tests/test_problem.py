@@ -215,6 +215,13 @@ class TestGammaEstimate:
         gamma = gamma_estimate(make_test_problem(1e-8, lam))
         assert gamma == pytest.approx(min(lam + 0.5, 2.0), rel=1e-7)
 
+    @pytest.mark.parametrize("lam", [1.5, 3.0, 8.9])
+    def test_recentred_a_prime_exact_for_cubic_drift(self, lam):
+        # the minimum 2 sits at x = -1, where the stencil is recentred; with
+        # the a''' term it is exact for a = -x - x^3 up to the rounding of
+        # the five samples of a (|gamma - 2| = 1.8e-12 at lam 3 and 8.9)
+        assert gamma_estimate(make_test_problem(1e-8, lam)) == pytest.approx(2.0, rel=1e-12)
+
     def test_constant_coefficient_toy(self):
         prob = Problem(
             eps=1e-4,
