@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from helpers import (
     bands_to_dense,
     discrete_l2,
@@ -31,6 +34,7 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
+from cuspfem.assembly import BLOCK_ELEMENTS
 
 
 def zero_function(mesh, k, family="uniform"):
@@ -149,12 +153,21 @@ class TestPinnedArithmetic:
     # its reference value.  So the assembly must match the reference bit for
     # bit until the floor is removed (ROADMAP item 1); that change is where
     # this pin may move.
+    #
+    # Assembly runs in blocks of BLOCK_ELEMENTS elements.  A mesh with 2N not
+    # a multiple of the block size (full blocks and a partial last one) pins
+    # the block offsets too.
     @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_bands_and_rhs_match_reference(self, k, family):
-        for eps in (1.0, 1e-3, 1e-10):
+    @pytest.mark.parametrize(
+        "k, n_half, eps_values",
+        [(k, 32, (1.0, 1e-3, 1e-10)) for k in range(1, 9)]
+        + [(k, BLOCK_ELEMENTS + 253, (1e-10,)) for k in (1, 4, 8)],
+        ids=[str(k) for k in range(1, 9)] + [f"{k}-multi-block" for k in (1, 4, 8)],
+    )
+    def test_bands_and_rhs_match_reference(self, k, n_half, eps_values, family):
+        for eps in eps_values:
             prob = make_test_problem(eps, 0.25)
-            mesh = build_mesh(MeshParams(eps, 32, k, 0.25))
+            mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
             stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
             for system, deltas in (
                 (assemble_galerkin(prob, mesh, k, family), None),
@@ -222,11 +235,44 @@ class TestSolver:
         assert fn.residual <= 1e-10
 
     def test_singular_system_raises(self):
-        mesh = build_mesh(MeshParams(1e-4, 8, 1, 0.25))
-        n = 2 * 8 - 1
-        bands = np.zeros((3, n))
+        # k = 1 takes LAPACK's tridiagonal dgtsv, k = 2 the banded dgbsv
+        for k in (1, 2):
+            mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
+            n = 2 * 8 * k - 1
+            bands = np.zeros((2 * k + 1, n))
+            with pytest.raises(SolverError, match="singular"):
+                solve_banded(LinearSystem(bands, np.ones(n), mesh, k, "uniform"))
+
+    @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_scipy_solve_banded_bitwise(self, k, method):
+        eps = 1e-6
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 64, k, 0.25))
+        if method == "galerkin":
+            system = assemble_galerkin(prob, mesh, k)
+        else:
+            system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
+        bands, rhs = system.bands.copy(), system.rhs.copy()
+        fn = solve_banded(system)
+        sol = scipy.linalg.solve_banded((k, k), bands, rhs)
+        assert np.array_equal(fn.coefficients[1:-1], sol)
+        res = np.max(np.abs(apply_system(system, sol) - rhs))
+        abs_system = LinearSystem(np.abs(bands), rhs, mesh, k, "uniform")
+        norm_a = np.max(apply_system(abs_system, np.ones(rhs.size)))
+        assert fn.residual == res / (norm_a * np.max(np.abs(sol)) + np.max(np.abs(rhs)))
+        # the solve works on its own copy
+        assert np.array_equal(system.bands, bands) and np.array_equal(system.rhs, rhs)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_finite_rhs_is_a_solver_error(self, k):
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
+        system = assemble_galerkin(prob, mesh, k)
+        rhs = system.rhs.copy()
+        rhs[5] = np.nan
         with pytest.raises(SolverError):
-            solve_banded(LinearSystem(bands, np.ones(n), mesh, 1, "uniform"))
+            solve_banded(LinearSystem(system.bands, rhs, mesh, k, "uniform"))
 
     def test_non_finite_band_entry_is_a_solver_error(self):
         prob = make_test_problem(1e-4, 0.25)
@@ -252,6 +298,27 @@ class TestSolver:
         mesh = build_mesh(MeshParams(1.0, 128, 1, 1.0))
         with pytest.raises(AssemblyError, match="element"):
             assemble_galerkin(prob, mesh, 1)
+
+    def test_nan_beyond_first_block_names_the_global_element(self):
+        mesh = build_mesh(MeshParams(1.0, BLOCK_ELEMENTS, 1, 1.0))
+        e = BLOCK_ELEMENTS + BLOCK_ELEMENTS // 2  # in the second block
+        x_nan = mesh.nodes[e] + 0.5 * mesh.lengths[e]
+
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x - x_nan) < 0.3 * mesh.lengths[e], np.nan, 1.0)
+
+        prob = Problem(
+            eps=1.0,
+            coeff_b=lambda x: np.ones_like(x),
+            coeff_c=lambda x: np.ones_like(x),
+            rhs_f=f,
+        )
+        with pytest.raises(AssemblyError) as info:
+            assemble_galerkin(prob, mesh, 1)
+        m = re.search(r"element (\d+) \(x in \[(\S+), (\S+)\]\)", str(info.value))
+        assert m is not None and int(m[1]) == e
+        assert float(m[2]) <= x_nan <= float(m[3])
 
     def test_evaluate_solution(self):
         prob = patch_problem(eps=1.0, degree=2)
@@ -285,6 +352,45 @@ class TestSolver:
         with pytest.raises(ValueError):
             fn(x, d=d)
         assert np.all(np.isfinite(fn([-1.0, 1.0], d=2)))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes it allocated beyond what it started with."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    # tracemalloc counts the bytes numpy allocates, so these bounds do not
+    # depend on how malloc returns memory to the system
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_solve_holds_one_band_copy(self, k):
+        eps = 1e-10
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 2048, k, 0.25))
+        system = assemble_galerkin(prob, mesh, k)
+        n = system.dimension
+        _, peak = traced_peak(solve_banded, system)
+        # LAPACK's (3k+1, n) band storage, the solution and the pivots
+        assert peak <= (3 * k + 1) * n * 8 + 2 * n * 8
+
+    def test_assembly_memory_beyond_the_system_does_not_grow_with_n(self):
+        eps, k = 1e-10, 8
+        prob = make_test_problem(eps, 0.25)
+        for assemble in (assemble_galerkin, assemble_sdfem):
+            extra = []
+            for n_half in (BLOCK_ELEMENTS, 4 * BLOCK_ELEMENTS):
+                mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+                kwargs = {"stab": compute_deltas(mesh, eps)} if assemble is assemble_sdfem else {}
+                system, peak = traced_peak(assemble, prob, mesh, k, **kwargs)
+                extra.append(peak - system.bands.nbytes - system.rhs.nbytes)
+            assert extra[1] <= extra[0] + 64 * 1024
 
 
 class TestGalerkinOrthogonality:
