@@ -5,23 +5,30 @@ Dirichlet elimination, and the banded solve.
 
 Global node numbering is left to right (element e owns nodes e*k .. e*k+k),
 so the matrix bandwidth is k.  Assembly walks the elements in blocks of
-BLOCK_ELEMENTS, so one block's samples and local matrices stay in cache;
-each entry keeps its ascending quadrature sum, so the bits do not depend
-on the block size.  Convection dominance can destroy diagonal dominance,
-hence banded LU with partial pivoting for the solve: LAPACK dgbsv (dgtsv
-for k = 1) on one Fortran-ordered copy of the bands.
+BLOCK_ELEMENTS, so one block's samples and local matrices stay in cache.
+A block's local matrices are one matrix product of stacked reference
+tables with stacked per-point weights, plus (eps/h) S_ref for diffusion.
+
+The band matrix only preconditions the solve.  Its entries carry rounding
+that, for k >= 4 at large N, left the plain LU solution up to 2.4e5 times
+the interpolant's error.  So banded LU with partial pivoting (convection
+dominance can destroy diagonal dominance; LAPACK dgbsv on one
+Fortran-ordered copy of the bands) is followed by one step of
+fixed-precision iterative refinement: its residual applies the element
+operator block by block, with derivatives taken from each element's nodal
+values minus its first, and its correction reuses the LU factors.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .basis import ReferenceBasis, gauss_rule, estimate_c_inv
+from .basis import QuadratureRule, ReferenceBasis, gauss_rule, estimate_c_inv
 from .mesh import Mesh
 from .problem import Problem, gamma_estimate
 
@@ -37,6 +44,9 @@ RESIDUAL_TOL = 1e-10
 # elements per assembly block; at k = 8 its local matrices take 0.7 MB, and
 # 1024 measured fastest at N = 32768 among 128 .. 2048
 BLOCK_ELEMENTS = 1024
+
+# rows per chunk of a band matrix-vector product
+MATVEC_ROWS = 16384
 
 
 class AssemblyError(RuntimeError):
@@ -109,6 +119,9 @@ class LinearSystem:
     """
     Banded system after Dirichlet elimination: dimension 2Nk-1, half-bandwidth k.
     `bands` is diagonal-ordered storage, bands[k + i - j, j] = A[i, j].
+    `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
+    (None for Galerkin) define the element operator that `solve_banded`'s
+    refinement step applies.
     """
 
     bands: np.ndarray
@@ -116,6 +129,9 @@ class LinearSystem:
     mesh: Mesh
     order: int
     family: str
+    problem: Problem
+    quad_points: int = 0
+    deltas: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.bands.setflags(write=False)
@@ -178,50 +194,107 @@ def global_nodes(mesh: Mesh, k: int, family: str) -> np.ndarray:
     return out
 
 
-def _assemble_block(problem, mesh, k, rule, tables, deltas, e0, bands, rhs) -> None:
-    """Add elements e0 .. e0 + BLOCK_ELEMENTS - 1 (or to the last element)
-    into the full-mesh bands and rhs."""
-    V, D1, D2 = tables  # (k+1, q) each
+class _ElementTables(NamedTuple):
+    """Reference-element data of one (k, family, q) on the q-point Gauss
+    rule."""
+
+    rule: QuadratureRule
+    V: np.ndarray  # basis values, (k+1, q); D1, D2 the derivatives
+    D1: np.ndarray
+    D2: np.ndarray
+    s_ref: np.ndarray  # D1 diag(w) D1^T, the diffusion block up to eps/h
+    load: np.ndarray  # [V | D1], (k+1, 2q): per-point weights to local vectors
+    # ((k+1)^2, m), row i*(k+1) + j for test function i and trial function
+    # j: q columns each of V_i D1_j and V_i V_j (Galerkin), then D1_i D1_j,
+    # D1_i V_j and, for k >= 2, D1_i D2_j (SDFEM)
+    matrix: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _element_tables(k: int, family: str, q: int) -> _ElementTables:
+    rule = gauss_rule(q)
+    V, D1, D2 = _ref_basis(k, family).tables(rule.points)
+    pairs = [(V, D1), (V, V), (D1, D1), (D1, V)] + ([(D1, D2)] if k >= 2 else [])
+    tables = _ElementTables(
+        rule,
+        V,
+        D1,
+        D2,
+        (D1 * rule.weights) @ D1.T,
+        np.hstack([V, D1]),
+        np.hstack([(T[:, None, :] * S[None, :, :]).reshape(-1, q) for T, S in pairs]),
+    )
+    for table in tables[1:]:
+        table.setflags(write=False)
+    return tables
+
+
+def _block_samples(problem: Problem, mesh: Mesh, points: np.ndarray, e0: int, load: bool):
+    """Element lengths of elements e0 .. e0 + BLOCK_ELEMENTS - 1 (or to the
+    last element) and a, c, and f when `load`, at their (q, nel_b)
+    quadrature points; a non-finite sample is an AssemblyError that names
+    the global element."""
     e1 = min(e0 + BLOCK_ELEMENTS, mesh.n_intervals)
     h = mesh.lengths[e0:e1]
-    xq = mesh.nodes[None, e0:e1] + rule.points[:, None] * h[None, :]  # (q, nel_b)
-    aq, cq, fq = problem.coeff_a(xq), problem.coeff_c(xq), problem.rhs_f(xq)
-    finite = np.isfinite(aq) & np.isfinite(cq) & np.isfinite(fq)
+    xq = mesh.nodes[None, e0:e1] + points[:, None] * h[None, :]  # (q, nel_b)
+    samples = [problem.coeff_a(xq), problem.coeff_c(xq)]
+    if load:
+        samples.append(problem.rhs_f(xq))
+    finite = np.logical_and.reduce([np.isfinite(s) for s in samples])
     if not finite.all():
         e = e0 + int(np.argmin(finite.all(axis=0)))
         raise AssemblyError(
             f"non-finite coefficient or rhs value in element {e} "
             f"(x in [{mesh.nodes[e]:.6g}, {mesh.nodes[e + 1]:.6g}])"
         )
-    wq = rule.weights[:, None] * h[None, :]  # (q, nel_b)
+    return h, *samples
+
+
+def _add_local(vec: np.ndarray, loc: np.ndarray, e0: int, k: int) -> None:
+    """Add local vectors loc (k+1, nel_b) of elements e0 .. into the global
+    vector; row i of element e is global entry e*k + i."""
+    e1 = e0 + loc.shape[1]
+    for i in range(k + 1):
+        vec[e0 * k + i : e1 * k + i : k] += loc[i]
+
+
+def _assemble_block(problem, mesh, k, tables, deltas, e0, bands, rhs) -> None:
+    """Add elements e0 .. e0 + BLOCK_ELEMENTS - 1 (or to the last element)
+    into the full-mesh bands and rhs."""
+    q = tables.rule.points.size
+    h, aq, cq, fq = _block_samples(problem, mesh, tables.rule.points, e0, load=True)
+    w = tables.rule.weights[:, None]
     eps = problem.eps
 
-    # local Galerkin blocks (k+1, k+1, nel_b) with the element axis innermost,
-    # so each einsum streams over elements; the unoptimised einsum adds
-    # (w T_i) S_j over q in ascending order, the order the pin test fixes
-    loc = eps * np.einsum("qe,iq,jq->ije", wq / (h * h)[None, :], D1, D1)
-    loc += np.einsum("qe,iq,jq->ije", wq * aq / h[None, :], V, D1)
-    loc += np.einsum("qe,iq,jq->ije", wq * cq, V, V)
-    # the load vector's two-operand sum changes bits unless it reads
-    # (nel_b, q)-contiguous samples
-    rhs_loc = np.einsum("eq,iq->ei", np.ascontiguousarray((wq * fq).T), V)
-
+    # per-point weights, stacked in the order of the matrix table's columns
+    # (Galerkin takes the first 2q)
+    terms = 2 * q if deltas is None else tables.matrix.shape[1]
+    weights = np.empty((terms, h.size))
+    np.multiply(w, aq, out=weights[:q])
+    np.multiply(w * h, cq, out=weights[q : 2 * q])
+    load_weights = np.empty((q if deltas is None else 2 * q, h.size))
+    np.multiply(w * h, fq, out=load_weights[:q])
     if deltas is not None:
-        test = aq[None, :, :] * D1[:, :, None] / h[None, None, :]  # (k+1, q, nel_b)
-        trial = test + cq[None, :, :] * V[:, :, None]
+        dwa = weights[:q] * (deltas[e0 : e0 + h.size] / h)  # delta w a / h
+        np.multiply(dwa, aq, out=weights[2 * q : 3 * q])
+        np.multiply(dwa, h * cq, out=weights[3 * q : 4 * q])
         if k >= 2:  # -eps v'' vanishes identically for k = 1
-            trial = trial - eps * D2[:, :, None] / (h * h)[None, None, :]
-        dw = deltas[None, e0:e1] * wq
-        loc += np.einsum("qe,iqe,jqe->ije", dw, test, trial)
-        rhs_loc += np.einsum("eq,eq,eiq->ei", dw.T, fq.T, test.transpose(2, 0, 1))
+            np.multiply(dwa, -eps / h, out=weights[4 * q :])
+        np.multiply(dwa, h * fq, out=load_weights[q:])
+    # one product for all terms but diffusion, which is added afterwards as
+    # (eps/h) S_ref: summed into the product it rounds each small term
+    # against the large diffusion entry, and the unrefined error at eps
+    # 1e-6, k 8, N 16384 rose from 7.2e-8 to 9.4e-7
+    loc = (tables.matrix[:, :terms] @ weights).reshape(k + 1, k + 1, h.size)
+    loc += tables.s_ref[:, :, None] * (eps / h)
+    rhs_loc = tables.load[:, : load_weights.shape[0]] @ load_weights
 
     # element e's local column jj is global column e*k + jj, and its local
     # row ii sits on band row k + ii - jj; every entry takes at most two
     # element contributions, so the order of the scatter changes no bit
     for jj in range(k + 1):
-        bands[k - jj : 2 * k + 1 - jj, e0 * k + jj : e1 * k + jj : k] += loc[:, jj, :]
-    rhs[e0 * k : e1 * k] += rhs_loc[:, :k].ravel()
-    rhs[e0 * k + k : e1 * k + 1 : k] += rhs_loc[:, k]
+        bands[k - jj : 2 * k + 1 - jj, e0 * k + jj : (e0 + h.size) * k + jj : k] += loc[:, jj, :]
+    _add_local(rhs, rhs_loc, e0, k)
 
 
 def _assemble(
@@ -234,20 +307,21 @@ def _assemble(
 ) -> LinearSystem:
     if quad_points < k + 1:
         raise ValueError(f"need quad_points >= k+1 = {k + 1}, got {quad_points}")
-    rule = gauss_rule(quad_points)
-    tables = _ref_basis(k, family).tables(rule.points)
     if deltas is not None and not np.any(deltas != 0.0):
         deltas = None
+    tables = _element_tables(k, family, quad_points)
     nel = mesh.n_intervals
     bands = np.zeros((2 * k + 1, nel * k + 1))
     rhs = np.zeros(nel * k + 1)
     for e0 in range(0, nel, BLOCK_ELEMENTS):
-        _assemble_block(problem, mesh, k, rule, tables, deltas, e0, bands, rhs)
+        _assemble_block(problem, mesh, k, tables, deltas, e0, bands, rhs)
 
     # homogeneous Dirichlet: drop first and last row/column; in diagonal
     # ordered storage that is a column slice; the slots that referenced the
     # eliminated rows keep their values, and no reader looks outside the matrix
-    return LinearSystem(bands[:, 1:-1], rhs[1:-1], mesh, k, family)
+    return LinearSystem(
+        bands[:, 1:-1], rhs[1:-1], mesh, k, family, problem, quad_points, deltas
+    )
 
 
 def assemble_galerkin(
@@ -280,13 +354,22 @@ def assemble_sdfem(
 
 
 def _band_matvec(bands: np.ndarray, k: int, x: Optional[np.ndarray] = None) -> np.ndarray:
-    """A x, or the absolute row sums of A when x is None."""
+    """A x, or the absolute row sums of A when x is None.  The rows go in
+    chunks of MATVEC_ROWS, so y and x stay in cache over the 2k+1
+    diagonals; each y[i] adds its diagonals in the same order either way."""
     n = bands.shape[1]
     y = np.zeros(n)
-    for o in range(-k, k + 1):
-        lo, hi = max(o, 0), n + min(o, 0)  # the rows i with 0 <= i - o < n
-        diag = bands[k + o, lo - o : hi - o]
-        y[lo:hi] += np.abs(diag) if x is None else diag * x[lo - o : hi - o]
+    term = np.empty(min(n, MATVEC_ROWS))
+    for r0 in range(0, n, MATVEC_ROWS):
+        for o in range(-k, k + 1):
+            # the chunk's rows i with 0 <= i - o < n
+            lo, hi = max(r0, o), min(r0 + MATVEC_ROWS, n + min(o, 0))
+            diag, t = bands[k + o, lo - o : hi - o], term[: max(hi - lo, 0)]
+            if x is None:
+                np.abs(diag, out=t)
+            else:
+                np.multiply(diag, x[lo - o : hi - o], out=t)
+            y[lo:hi] += t
     return y
 
 
@@ -295,29 +378,85 @@ def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
     return _band_matvec(system.bands, system.order, np.asarray(x, dtype=float))
 
 
+def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
+    """
+    rhs - A_elem x for the nodal coefficients `coeffs` (x is coeffs[1:-1]),
+    with the Galerkin operator, plus the SD terms when the system has
+    deltas, applied element by element in BLOCK_ELEMENTS blocks from a and
+    c at the assembly points.  v' and v'' come from each
+    element's nodal values minus its first, so a nearly constant v loses
+    no digits to the differencing.
+    """
+    k, problem, deltas, mesh = system.order, system.problem, system.deltas, system.mesh
+    tables = _element_tables(k, system.family, system.quad_points or k + 3)
+    V, D1, D2 = tables.V, tables.D1, tables.D2
+    q, eps, w = V.shape[1], problem.eps, tables.rule.weights[:, None]
+    local = np.lib.stride_tricks.sliding_window_view(coeffs, k + 1)[::k]  # (nel, k+1)
+    ax = np.zeros(coeffs.size)
+    for e0 in range(0, mesh.n_intervals, BLOCK_ELEMENTS):
+        h, aq, cq = _block_samples(problem, mesh, tables.rule.points, e0, load=False)
+        u = local[e0 : e0 + h.size].T  # (k+1, nel_b)
+        du = u[1:] - u[:1]
+        dv = (D1[1:].T @ du) / h  # v' at the points, (q, nel_b)
+        strong = aq * dv + cq * (V.T @ u)
+        weights = np.empty((2 * q, h.size))
+        np.multiply(w * h, strong, out=weights[:q])  # pairs with V
+        np.multiply(w * eps, dv, out=weights[q:])  # pairs with D1
+        if deltas is not None:
+            if k >= 2:
+                strong -= eps * (D2[1:].T @ du) / (h * h)
+            weights[q:] += w * (deltas[e0 : e0 + h.size] * aq) * strong
+        _add_local(ax, tables.load @ weights, e0, k)
+    # the two boundary entries collect rows that Dirichlet elimination drops
+    r = ax[1:-1]
+    np.subtract(system.rhs, r, out=r)
+    return r
+
+
+def _lu_solve(system: LinearSystem):
+    """
+    LAPACK dgbsv (banded LU with partial pivoting) on one Fortran-ordered
+    (3k+1, n) copy of the bands, k extra rows for the fill-in: the LU
+    factors, the pivots, and the solution as nodal coefficients with
+    boundary entries 0.
+    """
+    k, n = system.order, system.dimension
+    ab = np.zeros((3 * k + 1, n), order="F")
+    ab[k:] = system.bands
+    coeffs = np.zeros(n + 2)
+    coeffs[1:-1] = system.rhs
+    lu, piv, _, info = lapack.dgbsv(k, k, ab, coeffs[1:-1], overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise SolverError("banded LU failed: singular matrix")
+    return lu, piv, coeffs
+
+
 def solve_banded(system: LinearSystem) -> DiscreteFunction:
     """
-    Solve by banded LU with partial pivoting and verify the residual
-    contract ||Ax - b|| / (||A|| ||x|| + ||b||) <= 1e-10 (inf norms); the
-    achieved residual is recorded on the returned function.
+    Solve with the band matrix as a preconditioner: banded LU, then one
+    step of fixed-precision iterative refinement whose residual applies
+    the element operator (`_element_residual`) and whose correction
+    reuses the LU factors (dgbtrs).  Then verify the residual contract
+    ||Ax - b|| / (||A|| ||x|| + ||b||) <= 1e-10 (inf norms, A the band
+    matrix) at the refined x; the achieved residual is recorded on the
+    returned function.
     """
     k, bands, rhs = system.order, system.bands, system.rhs
     norm_a = np.max(_band_matvec(bands, k))
     norm_b = np.max(np.abs(rhs), initial=0.0)
     if not (np.isfinite(norm_a) and np.isfinite(norm_b)):
         raise SolverError("banded LU failed: array must not contain infs or NaNs")
-    if k == 1:  # the tridiagonal routine, as scipy.linalg.solve_banded picks
-        sol, info = lapack.dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)[3:]
-    else:  # dgbsv's storage: k extra rows above the bands for the LU fill-in
-        ab = np.zeros((3 * k + 1, rhs.size), order="F")
-        ab[k:] = bands
-        sol, info = lapack.dgbsv(k, k, ab, rhs, overwrite_ab=1)[2:]
-        del ab  # the LU factors, freed before the residual's temporaries
-    if info > 0:
-        raise SolverError("banded LU failed: singular matrix")
+    lu, piv, coeffs = _lu_solve(system)
+    sol = coeffs[1:-1]
+    step = _element_residual(system, coeffs)
+    lapack.dgbtrs(lu, k, k, step, piv, overwrite_b=1)
+    sol += step
+    del lu, piv, step  # freed before the contract's temporaries
     if not np.all(np.isfinite(sol)):
         raise SolverError("banded LU produced non-finite values (singular system?)")
-    res = np.max(np.abs(apply_system(system, sol) - rhs))
+    res = apply_system(system, sol)
+    res -= rhs
+    res = np.max(np.abs(res, out=res))
     scale = norm_a * np.max(np.abs(sol), initial=0.0) + norm_b
     rel = res / scale if scale else 0.0
     if rel > RESIDUAL_TOL:
@@ -325,6 +464,4 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
             f"residual contract violated: relative residual {rel:.3e} > {RESIDUAL_TOL}; "
             "the system is likely ill-conditioned"
         )
-    coeffs = np.zeros(system.dimension + 2)
-    coeffs[1:-1] = sol
     return DiscreteFunction(system.mesh, system.order, system.family, coeffs, rel)

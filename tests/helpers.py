@@ -10,7 +10,7 @@ from cuspfem import (
     StabilizationProfile,
     gauss_rule,
 )
-from cuspfem.assembly import _ref_basis
+from cuspfem.assembly import BLOCK_ELEMENTS, _ref_basis
 
 
 def patch_problem(eps: float = 1.0, degree: int = 2) -> Problem:
@@ -128,41 +128,100 @@ def weak_form_on_exact(problem: Problem, mesh, k: int, family: str, points: int,
     return g[1:-1]
 
 
+def _scatter(loc, rhs_loc, k: int):
+    """Bands and rhs, boundary rows dropped, from local matrices loc
+    (k+1, k+1, nel) and local vectors rhs_loc (k+1, nel); each entry takes
+    at most two element contributions, so the order of the scatter does not
+    change a bit."""
+    nel = loc.shape[2]
+    first = np.arange(nel) * k
+    bands = np.zeros((2 * k + 1, nel * k + 1))
+    rhs = np.zeros(nel * k + 1)
+    for ii in range(k + 1):
+        rhs[first + ii] += rhs_loc[ii]
+        for jj in range(k + 1):
+            bands[k + ii - jj, first + jj] += loc[ii, jj]
+    return bands[:, 1:-1], rhs[1:-1]
+
+
 def reference_assembly(problem: Problem, mesh, k: int, family: str, deltas=None):
     """
-    Bands and rhs of the Galerkin (deltas None) or SDFEM system, from the
-    per-element sums in (element, point) layout: each local entry adds
-    (w T_i) S_j over the Gauss points in ascending order.  Any other order
-    of these sums moves errors that sit on the round-off floor, so the
-    assembly is pinned to this one bit for bit.
+    Bands and rhs of the Galerkin (deltas None) or SDFEM system in the
+    assembly's arithmetic: one product of the reference tables V_i D1_j and
+    V_i V_j (for SDFEM also D1_i D1_j, D1_i V_j and, for k >= 2,
+    D1_i D2_j), stacked along the Gauss points, with the matching
+    per-point weights; then (eps/h) S_ref with S_ref = D1 diag(w) D1^T
+    added for diffusion.  The load is one product of V (for SDFEM
+    [V | D1]) with its weights.  BLAS may round a product's columns
+    differently for another column count, so the products take
+    BLOCK_ELEMENTS elements at a time, as the assembly does.
+    """
+    q = k + 3
+    rule = gauss_rule(q)
+    V, D1, D2 = _ref_basis(k, family).tables(rule.points)
+    h = mesh.lengths
+    xq = mesh.nodes[None, :-1] + rule.points[:, None] * h[None, :]  # (q, nel)
+    aq, cq, fq = problem.coeff_a(xq), problem.coeff_c(xq), problem.rhs_f(xq)
+    w, eps = rule.weights[:, None], problem.eps
+    pairs = [(V, D1), (V, V)]
+    weights = [w * aq, (w * h) * cq]
+    load_tables, load_weights = [V], [(w * h) * fq]
+    if deltas is not None and np.any(deltas != 0.0):
+        dwa = weights[0] * (deltas / h)
+        pairs += [(D1, D1), (D1, V)]
+        weights += [dwa * aq, dwa * (h * cq)]
+        if k >= 2:
+            pairs.append((D1, D2))
+            weights.append(dwa * (-eps / h))
+        load_tables.append(D1)
+        load_weights.append(dwa * (h * fq))
+    table = np.hstack([(T[:, None, :] * S[None, :, :]).reshape(-1, q) for T, S in pairs])
+    weights, load_table, load_weights = np.vstack(weights), np.hstack(load_tables), np.vstack(load_weights)
+    s_ref = (D1 * rule.weights) @ D1.T
+    loc = np.empty((k + 1, k + 1, h.size))
+    rhs_loc = np.empty((k + 1, h.size))
+    for e0 in range(0, h.size, BLOCK_ELEMENTS):
+        b = slice(e0, e0 + BLOCK_ELEMENTS)
+        loc[:, :, b] = (table @ weights[:, b]).reshape(k + 1, k + 1, -1)
+        loc[:, :, b] += s_ref[:, :, None] * (eps / h[b])
+        rhs_loc[:, b] = load_table @ load_weights[:, b]
+    return _scatter(loc, rhs_loc, k)
+
+
+def einsum_reference_assembly(
+    problem: Problem, mesh, k: int, family: str, deltas=None, magnitudes: bool = False
+):
+    """
+    Bands and rhs as `reference_assembly`, from per-term einsums in
+    (element, point) layout: each local entry adds (w T_i) S_j over the
+    Gauss points in ascending order.  The assembly used this order before
+    its matrix became a preconditioner.  With `magnitudes`, every table
+    and sample is replaced by its absolute value and every term is added,
+    which gives the sum of the terms' magnitudes that bounds the rounding
+    error of either order.
     """
     rule = gauss_rule(k + 3)
     V, D1, D2 = _ref_basis(k, family).tables(rule.points)
     h = mesh.lengths
     xq = mesh.nodes[:-1, None] + h[:, None] * rule.points[None, :]
     aq, cq, fq = problem.coeff_a(xq), problem.coeff_c(xq), problem.rhs_f(xq)
+    sign = 1.0
+    if magnitudes:
+        V, D1, D2, aq, cq, fq = map(np.abs, (V, D1, D2, aq, cq, fq))
+        sign = -1.0
     wq = rule.weights[None, :] * h[:, None]
     eps = problem.eps
-    loc = eps * np.einsum("eq,iq,jq->eij", wq / (h * h)[:, None], D1, D1)
-    loc += np.einsum("eq,iq,jq->eij", wq * aq / h[:, None], V, D1)
-    loc += np.einsum("eq,iq,jq->eij", wq * cq, V, V)
-    rhs_loc = np.einsum("eq,iq->ei", wq * fq, V)
+    loc = eps * np.einsum("eq,iq,jq->ije", wq / (h * h)[:, None], D1, D1)
+    loc += np.einsum("eq,iq,jq->ije", wq * aq / h[:, None], V, D1)
+    loc += np.einsum("eq,iq,jq->ije", wq * cq, V, V)
+    rhs_loc = np.einsum("eq,iq->ie", wq * fq, V)
     if deltas is not None and np.any(deltas != 0.0):
         hq = h[:, None, None]
         test = aq[:, None, :] * D1[None, :, :] / hq
         trial = test + cq[:, None, :] * V[None, :, :]
         if k >= 2:
-            trial = trial - eps * D2[None, :, :] / (hq * hq)
+            trial = trial - sign * eps * D2[None, :, :] / (hq * hq)
         dw = deltas[:, None] * wq
-        loc += np.einsum("eq,eiq,ejq->eij", dw, test, trial)
-        rhs_loc += np.einsum("eq,eq,eiq->ei", dw, fq, test)
-    # each band entry and rhs entry takes at most two element contributions,
-    # so the order of the scatter does not change a bit
-    first = np.arange(h.size) * k
-    bands = np.zeros((2 * k + 1, h.size * k + 1))
-    rhs = np.zeros(h.size * k + 1)
-    for ii in range(k + 1):
-        rhs[first + ii] += rhs_loc[:, ii]
-        for jj in range(k + 1):
-            bands[k + ii - jj, first + jj] += loc[:, ii, jj]
-    return bands[:, 1:-1], rhs[1:-1]
+        loc += np.einsum("eq,eiq,ejq->ije", dw, test, trial)
+        rhs_loc += np.einsum("eq,eq,eiq->ie", dw, fq, test)
+    return _scatter(loc, rhs_loc, k)

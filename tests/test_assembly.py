@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -7,9 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 from helpers import (
     bands_to_dense,
     discrete_l2,
+    einsum_reference_assembly,
     near_zero_coefficient_problem,
     patch_problem,
     reference_assembly,
@@ -34,7 +37,7 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
-from cuspfem.assembly import BLOCK_ELEMENTS
+from cuspfem.assembly import BLOCK_ELEMENTS, _lu_solve
 
 
 def zero_function(mesh, k, family="uniform"):
@@ -147,35 +150,53 @@ class TestSystemStructure:
 
 
 class TestPinnedArithmetic:
-    # The Galerkin errors at large N sit on a round-off floor, and any other
-    # order of the quadrature sums moves them: with one matrix product over
-    # all terms, the benchmark sweep's largest error rose to about 4.4 times
-    # its reference value.  So the assembly must match the reference bit for
-    # bit until the floor is removed (ROADMAP item 1); that change is where
-    # this pin may move.
+    # The band matrix only preconditions the solve's refinement step, so
+    # its sums may be ordered for speed: one matrix product per block for
+    # every term but diffusion, then (eps/h) S_ref.  The assembly must still
+    # match that order bit for bit, so an unintended change of arithmetic
+    # shows; diffusion summed into the product, for example, raised the
+    # unrefined error at eps 1e-6, k 8, N 16384 from 7.2e-8 to 9.4e-7 and
+    # needed a second step.
     #
     # Assembly runs in blocks of BLOCK_ELEMENTS elements.  A mesh with 2N not
     # a multiple of the block size (full blocks and a partial last one) pins
     # the block offsets too.
-    @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
-    @pytest.mark.parametrize(
-        "k, n_half, eps_values",
-        [(k, 32, (1.0, 1e-3, 1e-10)) for k in range(1, 9)]
-        + [(k, BLOCK_ELEMENTS + 253, (1e-10,)) for k in (1, 4, 8)],
-        ids=[str(k) for k in range(1, 9)] + [f"{k}-multi-block" for k in (1, 4, 8)],
-    )
-    def test_bands_and_rhs_match_reference(self, k, n_half, eps_values, family):
+    CASES = [(k, 32, (1.0, 1e-3, 1e-10)) for k in range(1, 9)] + [
+        (k, BLOCK_ELEMENTS + 253, (1e-10,)) for k in (1, 4, 8)
+    ]
+    IDS = [str(k) for k in range(1, 9)] + [f"{k}-multi-block" for k in (1, 4, 8)]
+
+    @staticmethod
+    def systems(k, n_half, eps_values, family):
         for eps in eps_values:
             prob = make_test_problem(eps, 0.25)
             mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
             stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
-            for system, deltas in (
-                (assemble_galerkin(prob, mesh, k, family), None),
-                (assemble_sdfem(prob, mesh, k, family, stab=stab), stab.deltas),
-            ):
-                bands, rhs = reference_assembly(prob, mesh, k, family, deltas)
-                assert np.array_equal(system.bands, bands)
-                assert np.array_equal(system.rhs, rhs)
+            yield prob, mesh, assemble_galerkin(prob, mesh, k, family), None
+            yield prob, mesh, assemble_sdfem(prob, mesh, k, family, stab=stab), stab.deltas
+
+    @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
+    @pytest.mark.parametrize("k, n_half, eps_values", CASES, ids=IDS)
+    def test_bands_and_rhs_match_reference(self, k, n_half, eps_values, family):
+        for prob, mesh, system, deltas in self.systems(k, n_half, eps_values, family):
+            bands, rhs = reference_assembly(prob, mesh, k, family, deltas)
+            assert np.array_equal(system.bands, bands)
+            assert np.array_equal(system.rhs, rhs)
+
+    @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
+    @pytest.mark.parametrize("k, n_half, eps_values", CASES, ids=IDS)
+    def test_bands_and_rhs_near_einsum_order(self, k, n_half, eps_values, family):
+        # each entry sums at most 5(k+3) + 3 terms (five families of q = k+3
+        # points, diffusion, two elements), so each order is within
+        # gamma_m = m u times the sum of the terms' magnitudes
+        tol = 2 * (5 * (k + 3) + 3) * 2.0 ** -53
+        for prob, mesh, system, deltas in self.systems(k, n_half, eps_values, family):
+            bands, rhs = einsum_reference_assembly(prob, mesh, k, family, deltas)
+            mag_bands, mag_rhs = einsum_reference_assembly(
+                prob, mesh, k, family, deltas, magnitudes=True
+            )
+            assert np.all(np.abs(system.bands - bands) <= tol * mag_bands)
+            assert np.all(np.abs(system.rhs - rhs) <= tol * mag_rhs)
 
 
 class TestPolynomialReproduction:
@@ -223,10 +244,27 @@ class TestSolver:
         system = assemble_galerkin(prob, mesh, 2)
         rng = np.random.default_rng(12)
         v = rng.standard_normal(system.dimension)
-        forced = LinearSystem(system.bands, apply_system(system, v), mesh, 2, "uniform")
+        forced = LinearSystem(system.bands, apply_system(system, v), mesh, 2, "uniform", prob)
         fn = solve_banded(forced)
         assert fn.coefficients[1:-1] == pytest.approx(v, rel=1e-12, abs=1e-12)
         assert fn.coefficients[0] == 0.0 and fn.coefficients[-1] == 0.0
+
+    @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_manufactured_rhs_recovered_after_the_step(self, k, method):
+        # rhs = A v for the band matrix A: the step's residual applies the
+        # element operator, which A approximates to rounding, so it must
+        # leave the LU solution at v
+        eps = 1e-4
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 64, k, 0.25))
+        if method == "galerkin":
+            system = assemble_galerkin(prob, mesh, k)
+        else:
+            system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
+        v = np.random.default_rng(k).standard_normal(system.dimension)
+        fn = solve_banded(dataclasses.replace(system, rhs=apply_system(system, v)))
+        assert np.max(np.abs(fn.coefficients[1:-1] - v)) <= 1e-10
 
     def test_residual_recorded_and_small(self):
         prob = make_test_problem(1e-10, 0.005)
@@ -235,13 +273,13 @@ class TestSolver:
         assert fn.residual <= 1e-10
 
     def test_singular_system_raises(self):
-        # k = 1 takes LAPACK's tridiagonal dgtsv, k = 2 the banded dgbsv
+        prob = make_test_problem(1e-4, 0.25)
         for k in (1, 2):
             mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
             n = 2 * 8 * k - 1
             bands = np.zeros((2 * k + 1, n))
             with pytest.raises(SolverError, match="singular"):
-                solve_banded(LinearSystem(bands, np.ones(n), mesh, k, "uniform"))
+                solve_banded(LinearSystem(bands, np.ones(n), mesh, k, "uniform", prob))
 
     @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
     @pytest.mark.parametrize("k", range(1, 9))
@@ -255,12 +293,20 @@ class TestSolver:
             system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
         bands, rhs = system.bands.copy(), system.rhs.copy()
         fn = solve_banded(system)
-        sol = scipy.linalg.solve_banded((k, k), bands, rhs)
-        assert np.array_equal(fn.coefficients[1:-1], sol)
-        res = np.max(np.abs(apply_system(system, sol) - rhs))
-        abs_system = LinearSystem(np.abs(bands), rhs, mesh, k, "uniform")
+        # before the refinement step: LAPACK dgbsv on scipy's band storage,
+        # for every k (scipy.linalg.solve_banded takes dgtsv for k = 1)
+        ab = np.zeros((3 * k + 1, rhs.size))
+        ab[k:] = bands
+        sol = lapack.dgbsv(k, k, ab, rhs)[2]
+        assert np.array_equal(_lu_solve(system)[2][1:-1], sol)
+        if k >= 2:
+            assert np.array_equal(sol, scipy.linalg.solve_banded((k, k), bands, rhs))
+        # the recorded residual is the band matrix's, at the refined solution
+        x = fn.coefficients[1:-1]
+        res = np.max(np.abs(apply_system(system, x) - rhs))
+        abs_system = LinearSystem(np.abs(bands), rhs, mesh, k, "uniform", prob)
         norm_a = np.max(apply_system(abs_system, np.ones(rhs.size)))
-        assert fn.residual == res / (norm_a * np.max(np.abs(sol)) + np.max(np.abs(rhs)))
+        assert fn.residual == res / (norm_a * np.max(np.abs(x)) + np.max(np.abs(rhs)))
         # the solve works on its own copy
         assert np.array_equal(system.bands, bands) and np.array_equal(system.rhs, rhs)
 
@@ -272,7 +318,7 @@ class TestSolver:
         rhs = system.rhs.copy()
         rhs[5] = np.nan
         with pytest.raises(SolverError):
-            solve_banded(LinearSystem(system.bands, rhs, mesh, k, "uniform"))
+            solve_banded(LinearSystem(system.bands, rhs, mesh, k, "uniform", prob))
 
     def test_non_finite_band_entry_is_a_solver_error(self):
         prob = make_test_problem(1e-4, 0.25)
@@ -281,7 +327,7 @@ class TestSolver:
         bands = system.bands.copy()
         bands[1, 3] = np.inf
         with pytest.raises(SolverError):
-            solve_banded(LinearSystem(bands, system.rhs, mesh, 1, "uniform"))
+            solve_banded(LinearSystem(bands, system.rhs, mesh, 1, "uniform", prob))
 
     def test_nan_rhs_detected_at_assembly(self):
         # f hides a NaN window too narrow for the 257-point validation grid
@@ -371,14 +417,20 @@ class TestWorkingMemory:
     # depend on how malloc returns memory to the system
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_solve_holds_one_band_copy(self, k):
+        # LAPACK's (3k+1, n) band storage, the solution, the refinement
+        # step's residual and the int32 pivots: the band copy plus 2.5
+        # n-vectors, within a bound of 3.  The step's per-block temporaries
+        # may add a constant, but nothing beyond these may grow with N
         eps = 1e-10
         prob = make_test_problem(eps, 0.25)
-        mesh = build_mesh(MeshParams(eps, 2048, k, 0.25))
-        system = assemble_galerkin(prob, mesh, k)
-        n = system.dimension
-        _, peak = traced_peak(solve_banded, system)
-        # LAPACK's (3k+1, n) band storage, the solution and the pivots
-        assert peak <= (3 * k + 1) * n * 8 + 2 * n * 8
+        beyond = []
+        for n_half in (2048, 8192):
+            mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+            system = assemble_galerkin(prob, mesh, k)
+            n = system.dimension
+            _, peak = traced_peak(solve_banded, system)
+            beyond.append(peak - (3 * k + 1) * n * 8 - 2 * n * 8 - n * 4)
+        assert beyond[1] <= beyond[0] + 64 * 1024
 
     def test_assembly_memory_beyond_the_system_does_not_grow_with_n(self):
         eps, k = 1e-10, 8
