@@ -4,8 +4,9 @@ over a layer-adapted mesh with order-k Lagrange elements, homogeneous
 Dirichlet elimination, and the banded solve.
 
 Global node numbering is left to right (element e owns nodes e*k .. e*k+k),
-so the matrix bandwidth is k.  Assembly walks the elements in blocks of
-BLOCK_ELEMENTS, so one block's samples and local matrices stay in cache.
+so the matrix bandwidth is k.  Assembly, the refinement residual and the
+error norms walk the elements in blocks of BLOCK_ELEMENTS (`_blocks`), so
+one block's samples and local matrices stay in cache.
 A block's local matrices are one matrix product of stacked reference
 tables with stacked per-point weights, plus (eps/h) S_ref for diffusion.
 
@@ -41,8 +42,8 @@ DELTA_POLICIES = ("standard", "theorem-capped")
 
 RESIDUAL_TOL = 1e-10
 
-# elements per assembly block; at k = 8 its local matrices take 0.7 MB, and
-# 1024 measured fastest at N = 32768 among 128 .. 2048
+# elements per block (assembly, residual, norms); at k = 8 its local
+# matrices take 0.7 MB, and 1024 measured fastest at N = 32768 among 128 .. 2048
 BLOCK_ELEMENTS = 1024
 
 # rows per chunk of a band matrix-vector product
@@ -176,8 +177,7 @@ class DiscreteFunction:
         e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, h.size - 1)
         t = (x - nodes[e]) / h[e]
         tab = _ref_basis(k, self.family).tables(t)[d]  # (k+1, npts)
-        idx = e[:, None] * k + np.arange(k + 1)[None, :]
-        vals = np.sum(self.coefficients[idx] * tab.T, axis=1)
+        vals = np.sum(_windows(self.coefficients, k)[e] * tab.T, axis=1)
         # [()] makes a scalar of the 0-d result for a scalar x
         return (vals / h[e] ** d if d else vals).reshape(shape)[()]
 
@@ -195,74 +195,95 @@ def global_nodes(mesh: Mesh, k: int, family: str) -> np.ndarray:
 
 
 class _ElementTables(NamedTuple):
-    """Reference-element data of one (k, family, q) on the q-point Gauss
-    rule."""
+    """Reference-element data of one (k, family, q, panels) on the q-point
+    Gauss rule on each of `panels` equal panels of [0, 1], m points in all."""
 
     rule: QuadratureRule
-    V: np.ndarray  # basis values, (k+1, q); D1, D2 the derivatives
+    V: np.ndarray  # basis values, (k+1, m); D1, D2 the derivatives
     D1: np.ndarray
     D2: np.ndarray
     s_ref: np.ndarray  # D1 diag(w) D1^T, the diffusion block up to eps/h
-    load: np.ndarray  # [V | D1], (k+1, 2q): per-point weights to local vectors
-    # ((k+1)^2, m), row i*(k+1) + j for test function i and trial function
-    # j: q columns each of V_i D1_j and V_i V_j (Galerkin), then D1_i D1_j,
+    load: np.ndarray  # [V | D1], (k+1, 2m): per-point weights to local vectors
+    # ((k+1)^2, 4m or 5m), row i*(k+1) + j for test function i and trial function
+    # j: m columns each of V_i D1_j and V_i V_j (Galerkin), then D1_i D1_j,
     # D1_i V_j and, for k >= 2, D1_i D2_j (SDFEM)
     matrix: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _element_tables(k: int, family: str, q: int) -> _ElementTables:
-    rule = gauss_rule(q)
-    V, D1, D2 = _ref_basis(k, family).tables(rule.points)
+def _element_tables(k: int, family: str, q: int, panels: int = 1) -> _ElementTables:
+    gauss = gauss_rule(q)
+    points = ((np.arange(panels)[:, None] + gauss.points[None, :]) / panels).ravel()
+    rule = QuadratureRule(points, np.tile(gauss.weights / panels, panels))
+    V, D1, D2 = _ref_basis(k, family).tables(points)
     pairs = [(V, D1), (V, V), (D1, D1), (D1, V)] + ([(D1, D2)] if k >= 2 else [])
+    products = [(T[:, None, :] * S[None, :, :]).reshape(-1, points.size) for T, S in pairs]
     tables = _ElementTables(
-        rule,
-        V,
-        D1,
-        D2,
-        (D1 * rule.weights) @ D1.T,
-        np.hstack([V, D1]),
-        np.hstack([(T[:, None, :] * S[None, :, :]).reshape(-1, q) for T, S in pairs]),
+        rule, V, D1, D2, (D1 * rule.weights) @ D1.T, np.hstack([V, D1]), np.hstack(products)
     )
     for table in tables[1:]:
         table.setflags(write=False)
     return tables
 
 
-def _block_samples(problem: Problem, mesh: Mesh, points: np.ndarray, e0: int, load: bool):
-    """Element lengths of elements e0 .. e0 + BLOCK_ELEMENTS - 1 (or to the
-    last element) and a, c, and f when `load`, at their (q, nel_b)
-    quadrature points; a non-finite sample is an AssemblyError that names
-    the global element."""
-    e1 = min(e0 + BLOCK_ELEMENTS, mesh.n_intervals)
-    h = mesh.lengths[e0:e1]
-    xq = mesh.nodes[None, e0:e1] + points[:, None] * h[None, :]  # (q, nel_b)
+def _windows(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """Row e is element e's k+1 nodal coefficients: a read-only strided view."""
+    return np.lib.stride_tricks.sliding_window_view(coeffs, k + 1)[::k]
+
+
+class _Block(NamedTuple):
+    """One step of `_blocks`: the elements in `span`, their lengths, their
+    nel_b + 1 end points (named as on a Mesh), and their coefficient
+    windows (k+1, nel_b)."""
+
+    span: slice
+    lengths: np.ndarray
+    nodes: np.ndarray
+    local: Optional[np.ndarray]
+
+    def at(self, t: np.ndarray, g=slice(None)) -> np.ndarray:
+        """Coordinates (t.size, nel_g) of the reference points t on the elements g."""
+        return self.nodes[:-1][g] + t[:, None] * self.lengths[g]
+
+
+def _blocks(mesh: Mesh, coeffs: Optional[np.ndarray] = None, k: int = 1):
+    """Walk the elements in blocks of BLOCK_ELEMENTS (read at each call),
+    with the windows of the nodal coefficients `coeffs` when given."""
+    windows = None if coeffs is None else _windows(coeffs, k)
+    for e0 in range(0, mesh.n_intervals, BLOCK_ELEMENTS):
+        b = slice(e0, min(e0 + BLOCK_ELEMENTS, mesh.n_intervals))
+        local = None if windows is None else windows[b].T
+        yield _Block(b, mesh.lengths[b], mesh.nodes[b.start : b.stop + 1], local)
+
+
+def _block_samples(problem: Problem, block: _Block, points: np.ndarray, load: bool):
+    """a, c, and f when `load`, at the block's (q, nel_b) quadrature points;
+    a non-finite sample is an AssemblyError that names the global element."""
+    xq = block.at(points)
     samples = [problem.coeff_a(xq), problem.coeff_c(xq)]
     if load:
         samples.append(problem.rhs_f(xq))
     finite = np.logical_and.reduce([np.isfinite(s) for s in samples])
     if not finite.all():
-        e = e0 + int(np.argmin(finite.all(axis=0)))
+        i = int(np.argmin(finite.all(axis=0)))
         raise AssemblyError(
-            f"non-finite coefficient or rhs value in element {e} "
-            f"(x in [{mesh.nodes[e]:.6g}, {mesh.nodes[e + 1]:.6g}])"
+            f"non-finite coefficient or rhs value in element {block.span.start + i} "
+            f"(x in [{block.nodes[i]:.6g}, {block.nodes[i + 1]:.6g}])"
         )
-    return h, *samples
+    return samples
 
 
-def _add_local(vec: np.ndarray, loc: np.ndarray, e0: int, k: int) -> None:
-    """Add local vectors loc (k+1, nel_b) of elements e0 .. into the global
-    vector; row i of element e is global entry e*k + i."""
-    e1 = e0 + loc.shape[1]
+def _add_local(vec: np.ndarray, loc: np.ndarray, span: slice, k: int) -> None:
+    """Add local vectors loc (k+1, nel_b) of the elements in `span` into the
+    global vector; row i of element e is global entry e*k + i."""
     for i in range(k + 1):
-        vec[e0 * k + i : e1 * k + i : k] += loc[i]
+        vec[span.start * k + i : span.stop * k + i : k] += loc[i]
 
 
-def _assemble_block(problem, mesh, k, tables, deltas, e0, bands, rhs) -> None:
-    """Add elements e0 .. e0 + BLOCK_ELEMENTS - 1 (or to the last element)
-    into the full-mesh bands and rhs."""
-    q = tables.rule.points.size
-    h, aq, cq, fq = _block_samples(problem, mesh, tables.rule.points, e0, load=True)
+def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> None:
+    """Add the block's elements into the full-mesh bands and rhs."""
+    q, h, e0 = tables.rule.points.size, block.lengths, block.span.start
+    aq, cq, fq = _block_samples(problem, block, tables.rule.points, load=True)
     w = tables.rule.weights[:, None]
     eps = problem.eps
 
@@ -275,7 +296,7 @@ def _assemble_block(problem, mesh, k, tables, deltas, e0, bands, rhs) -> None:
     load_weights = np.empty((q if deltas is None else 2 * q, h.size))
     np.multiply(w * h, fq, out=load_weights[:q])
     if deltas is not None:
-        dwa = weights[:q] * (deltas[e0 : e0 + h.size] / h)  # delta w a / h
+        dwa = weights[:q] * (deltas[block.span] / h)  # delta w a / h
         np.multiply(dwa, aq, out=weights[2 * q : 3 * q])
         np.multiply(dwa, h * cq, out=weights[3 * q : 4 * q])
         if k >= 2:  # -eps v'' vanishes identically for k = 1
@@ -294,7 +315,7 @@ def _assemble_block(problem, mesh, k, tables, deltas, e0, bands, rhs) -> None:
     # element contributions, so the order of the scatter changes no bit
     for jj in range(k + 1):
         bands[k - jj : 2 * k + 1 - jj, e0 * k + jj : (e0 + h.size) * k + jj : k] += loc[:, jj, :]
-    _add_local(rhs, rhs_loc, e0, k)
+    _add_local(rhs, rhs_loc, block.span, k)
 
 
 def _assemble(
@@ -313,8 +334,8 @@ def _assemble(
     nel = mesh.n_intervals
     bands = np.zeros((2 * k + 1, nel * k + 1))
     rhs = np.zeros(nel * k + 1)
-    for e0 in range(0, nel, BLOCK_ELEMENTS):
-        _assemble_block(problem, mesh, k, tables, deltas, e0, bands, rhs)
+    for block in _blocks(mesh):
+        _assemble_block(problem, block, k, tables, deltas, bands, rhs)
 
     # homogeneous Dirichlet: drop first and last row/column; in diagonal
     # ordered storage that is a column slice; the slots that referenced the
@@ -391,11 +412,10 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
     tables = _element_tables(k, system.family, system.quad_points or k + 3)
     V, D1, D2 = tables.V, tables.D1, tables.D2
     q, eps, w = V.shape[1], problem.eps, tables.rule.weights[:, None]
-    local = np.lib.stride_tricks.sliding_window_view(coeffs, k + 1)[::k]  # (nel, k+1)
     ax = np.zeros(coeffs.size)
-    for e0 in range(0, mesh.n_intervals, BLOCK_ELEMENTS):
-        h, aq, cq = _block_samples(problem, mesh, tables.rule.points, e0, load=False)
-        u = local[e0 : e0 + h.size].T  # (k+1, nel_b)
+    for block in _blocks(mesh, coeffs, k):
+        h, u = block.lengths, block.local
+        aq, cq = _block_samples(problem, block, tables.rule.points, load=False)
         du = u[1:] - u[:1]
         dv = (D1[1:].T @ du) / h  # v' at the points, (q, nel_b)
         strong = aq * dv + cq * (V.T @ u)
@@ -405,8 +425,8 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
         if deltas is not None:
             if k >= 2:
                 strong -= eps * (D2[1:].T @ du) / (h * h)
-            weights[q:] += w * (deltas[e0 : e0 + h.size] * aq) * strong
-        _add_local(ax, tables.load @ weights, e0, k)
+            weights[q:] += w * (deltas[block.span] * aq) * strong
+        _add_local(ax, tables.load @ weights, block.span, k)
     # the two boundary entries collect rows that Dirichlet elimination drops
     r = ax[1:-1]
     np.subtract(system.rhs, r, out=r)

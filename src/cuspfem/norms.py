@@ -7,7 +7,9 @@ The solution obeys |u^(i)(x)| <= C (|x| + sqrt(eps))^(lambda_bar - i), so
 it is smooth on any panel that is short next to |x| + sqrt(eps); errors are
 integrated with a composite rule that cuts each element into that many
 equal panels (capped), with at least k + 3 Gauss points per panel so the
-polynomial part of e^2 (degree 2k + 2) is integrated exactly.
+polynomial part of e^2 (degree 2k + 2) is integrated exactly.  The sums
+walk the assembly's element blocks, grouped by panel count within each
+block, so their working memory is one block whatever N is.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import DiscreteFunction, StabilizationProfile, _check_profile, _ref_basis, global_nodes
-from .basis import gauss_rule
+from .assembly import DiscreteFunction, StabilizationProfile, _blocks, _check_profile, _element_tables
+from .assembly import global_nodes
 from .mesh import Mesh
 from .problem import Problem
 
@@ -67,53 +69,36 @@ def interpolate(problem: Problem, mesh: Mesh, k: int, family: str = "uniform") -
     return DiscreteFunction(mesh, k, family, coeffs)
 
 
-def _panel_counts(mesh: Mesh, eps: float, cap: int) -> np.ndarray:
-    """Equal panels per element: enough that each spans at most half the
-    layer scale d + sqrt(eps), d the element's distance from x = 0, and at
-    most `cap`."""
-    x0, x1 = mesh.nodes[:-1], mesh.nodes[1:]
-    dist = np.maximum(np.maximum(x0, -x1), 0.0)
+def _panel_counts(mesh, eps: float, cap: int) -> np.ndarray:
+    """Equal panels per element of a Mesh or a block: enough that each
+    spans at most half the layer scale d + sqrt(eps), d the element's
+    distance from x = 0, and at most `cap`."""
+    dist = np.maximum(np.maximum(mesh.nodes[:-1], -mesh.nodes[1:]), 0.0)
     return np.minimum(cap, np.ceil(mesh.lengths / (0.5 * (dist + np.sqrt(eps))))).astype(int)
 
 
-def _integrate_norms(
-    fn: DiscreteFunction,
-    problem: Problem,
-    stab: Optional[StabilizationProfile],
-    quad: QuadSpec,
-    exact: bool,
-) -> ErrorReport:
-    """Norms of e = u - fn (exact True) or of fn itself, with the elements
-    grouped by panel count and each group integrated in one (nel_g, npts)
-    pass; only the four global sums are kept."""
-    mesh, k = fn.mesh, fn.order
-    rule = gauss_rule(max(quad.points, k + 3))
-    basis = _ref_basis(k, fn.family)
-    counts = _panel_counts(mesh, problem.eps, quad.panels)
-    l2s = h1s = sds = xdps = 0.0
-    for p in np.unique(counts):
-        el = np.flatnonzero(counts == p)
-        pts = ((np.arange(p)[:, None] + rule.points[None, :]) / p).ravel()
-        V, D1, _ = basis.tables(pts)
-        h = mesh.lengths[el, None]
-        xq = mesh.nodes[el, None] + h * pts[None, :]
-        wq = np.tile(rule.weights / p, p)[None, :] * h
-        coef = fn.coefficients[el[:, None] * k + np.arange(k + 1)[None, :]]
-        err, derr = coef @ V, (coef @ D1) / h
-        if exact:
-            err = problem.exact(xq) - err
-            derr = problem.exact_dx(xq) - derr
-        l2s += float(np.sum(wq * err * err))
-        h1s += float(np.sum(wq * derr * derr))
-        xdps += float(np.sum(wq * (xq * derr) ** 2))
-        if stab is not None:
-            sds += float(np.sum(stab.deltas[el, None] * wq * (problem.coeff_a(xq) * derr) ** 2))
-    return ErrorReport(
-        l2=np.sqrt(l2s),
-        energy=np.sqrt(problem.eps * h1s + l2s),
-        sd=np.sqrt(problem.eps * h1s + l2s + sds),
-        weighted_xdp=np.sqrt(xdps),
-    )
+def _integrate_norms(fn, problem, stab, quad, exact: bool) -> ErrorReport:
+    """Norms of e = u - fn (exact True) or of fn itself, block by block and
+    by panel count within each block; only four running sums are kept."""
+    k = fn.order
+    if stab is not None:
+        _check_profile(stab, fn.mesh)
+    sums, sd = np.zeros(3), 0.0  # integrals of e^2, e'^2 and (x e')^2; the SD term
+    for block in _blocks(fn.mesh, fn.coefficients, k):
+        counts = _panel_counts(block, problem.eps, quad.panels)
+        for p in np.unique(counts):
+            g = counts == p
+            tables = _element_tables(k, fn.family, max(quad.points, k + 3), int(p))
+            h, u, xq = block.lengths[g], block.local[:, g], block.at(tables.rule.points, g)
+            err, derr = tables.V.T @ u, (tables.D1.T @ u) / h
+            if exact:
+                err, derr = problem.exact(xq) - err, problem.exact_dx(xq) - derr
+            wq = tables.rule.weights[:, None] * h
+            sums += [np.sum(wq * err * err), np.sum(wq * derr * derr), np.sum(wq * (xq * derr) ** 2)]
+            if stab is not None:
+                sd += np.sum(stab.deltas[block.span][g] * wq * (problem.coeff_a(xq) * derr) ** 2)
+    l2, h1, xdp = sums
+    return ErrorReport(*np.sqrt([l2, problem.eps * h1 + l2, problem.eps * h1 + l2 + sd, xdp]))
 
 
 def error_norms(
@@ -131,8 +116,6 @@ def error_norms(
         raise ValueError("error_norms needs a problem with exact solution")
     if mesh is not u_h.mesh and not np.array_equal(mesh.nodes, u_h.mesh.nodes):
         raise ValueError("mesh does not match the discrete function")
-    if stab is not None:
-        _check_profile(stab, mesh)
     return _integrate_norms(u_h, problem, stab, quad, exact=True)
 
 
@@ -151,9 +134,5 @@ def sd_distance(
         raise ValueError("discrete functions differ in order or node family")
     if a_fn.mesh is not b_fn.mesh and not np.array_equal(a_fn.mesh.nodes, b_fn.mesh.nodes):
         raise ValueError("discrete functions live on different meshes")
-    mesh = a_fn.mesh
-    _check_profile(stab, mesh)
-    diff = DiscreteFunction(
-        mesh, a_fn.order, a_fn.family, a_fn.coefficients - b_fn.coefficients
-    )
+    diff = DiscreteFunction(a_fn.mesh, a_fn.order, a_fn.family, a_fn.coefficients - b_fn.coefficients)
     return _integrate_norms(diff, problem, stab, quad, exact=False).sd

@@ -11,6 +11,7 @@ from cuspfem import (
     gauss_rule,
 )
 from cuspfem.assembly import BLOCK_ELEMENTS, _ref_basis
+from cuspfem.norms import _panel_counts
 
 
 def patch_problem(eps: float = 1.0, degree: int = 2) -> Problem:
@@ -107,6 +108,39 @@ def uniform_error_norms(fn: DiscreteFunction, problem: Problem, stab, points: in
     h1 = problem.eps * np.sum(wq * derr * derr)
     sd = 0.0 if stab is None else np.sum(stab.deltas[:, None] * wq * (problem.coeff_a(xq) * derr) ** 2)
     return np.sqrt([l2, h1 + l2, h1 + l2 + sd, np.sum(wq * (xq * derr) ** 2)])
+
+
+def whole_mesh_norms(fn: DiscreteFunction, problem: Problem, stab, quad, exact: bool = True) -> np.ndarray:
+    """
+    (l2, energy, sd, weighted_xdp) of u - fn (exact True) or of fn, with
+    the layer-graded rule of cuspfem.norms, each panel count's elements
+    integrated over the whole mesh in one (nel_g, npts) pass.  The norms
+    used this order before they walked the mesh in blocks.
+    """
+    mesh, k = fn.mesh, fn.order
+    rule = gauss_rule(max(quad.points, k + 3))
+    basis = _ref_basis(k, fn.family)
+    counts = _panel_counts(mesh, problem.eps, quad.panels)
+    l2s = h1s = sds = xdps = 0.0
+    for p in np.unique(counts):
+        el = np.flatnonzero(counts == p)
+        pts = ((np.arange(p)[:, None] + rule.points[None, :]) / p).ravel()
+        V, D1, _ = basis.tables(pts)
+        h = mesh.lengths[el, None]
+        xq = mesh.nodes[el, None] + h * pts[None, :]
+        wq = np.tile(rule.weights / p, p)[None, :] * h
+        coef = fn.coefficients[el[:, None] * k + np.arange(k + 1)[None, :]]
+        err, derr = coef @ V, (coef @ D1) / h
+        if exact:
+            err = problem.exact(xq) - err
+            derr = problem.exact_dx(xq) - derr
+        l2s += np.sum(wq * err * err)
+        h1s += np.sum(wq * derr * derr)
+        xdps += np.sum(wq * (xq * derr) ** 2)
+        if stab is not None:
+            sds += np.sum(stab.deltas[el, None] * wq * (problem.coeff_a(xq) * derr) ** 2)
+    h1s *= problem.eps
+    return np.sqrt([l2s, h1s + l2s, h1s + l2s + sds, xdps])
 
 
 def weak_form_on_exact(problem: Problem, mesh, k: int, family: str, points: int, panels: int):

@@ -33,6 +33,7 @@ from cuspfem import (
     build_mesh,
     compute_deltas,
     error_norms,
+    interpolate,
     make_test_problem,
     sd_distance,
     solve_banded,
@@ -443,6 +444,19 @@ class TestWorkingMemory:
                 system, peak = traced_peak(assemble, prob, mesh, k, **kwargs)
                 extra.append(peak - system.bands.nbytes - system.rhs.nbytes)
             assert extra[1] <= extra[0] + 64 * 1024
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_error_norms_memory_does_not_grow_with_n(self, k):
+        # the norms hold one block's samples and panel counts at a time
+        eps = 1e-10
+        prob = make_test_problem(eps, 0.25)
+        peaks = []
+        for n_half in (1024, 4096):
+            mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+            stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
+            _, peak = traced_peak(error_norms, interpolate(prob, mesh, k), prob, mesh, stab)
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
 
 class TestGalerkinOrthogonality:

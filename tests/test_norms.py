@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from helpers import patch_problem, uniform_error_norms, zero_stab
+from helpers import patch_problem, uniform_error_norms, whole_mesh_norms, zero_stab
 
+import cuspfem.assembly
 from cuspfem import (
     DiscreteFunction,
     MeshParams,
@@ -299,3 +300,38 @@ class TestLayerGradedQuadrature:
         zero = lambda x: np.zeros_like(x)
         zero_exact = Problem(eps, prob.coeff_b, prob.coeff_c, prob.rhs_f, exact=zero, exact_dx=zero)
         assert sd_distance(interp, fn, prob, stab) == error_norms(diff, zero_exact, mesh, stab).sd
+
+
+class TestBlockedSums:
+    # The norms walk the mesh in blocks and group each block's elements by
+    # panel count, so they add the same terms as a whole-mesh pass in
+    # another order.  Eight-element blocks split the panel groups of these
+    # coarse meshes (panel counts 1, 2, 3, 5 and 6).
+    @pytest.mark.parametrize("n_half", [16, 32])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("method", ["fem", "sdfem"])
+    def test_matches_the_whole_mesh_pass(self, monkeypatch, method, k, n_half):
+        eps = 1e-8
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+        capped = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
+        if method == "fem":
+            stab, fn = None, solve_banded(assemble_galerkin(prob, mesh, k))
+        else:
+            stab, fn = capped, solve_banded(assemble_sdfem(prob, mesh, k, stab=capped))
+        interp = interpolate(prob, mesh, k)
+        diff = DiscreteFunction(mesh, k, "uniform", interp.coefficients - fn.coefficients)
+        quad = QuadSpec()
+        ref = whole_mesh_norms(fn, prob, stab, quad)
+        ref_distance = whole_mesh_norms(diff, prob, capped, quad, exact=False)[2]
+        panel_counts = np.unique(_panel_counts(mesh, eps, quad.panels)).size
+        assert panel_counts >= 3
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 8)
+        cuspfem.assembly._element_tables.cache_clear()
+        rep = error_norms(fn, prob, mesh, stab, quad)
+        # one set of reference tables per panel count, not per block
+        assert cuspfem.assembly._element_tables.cache_info().misses == panel_counts
+        new = np.array([rep.l2, rep.energy, rep.sd, rep.weighted_xdp])
+        assert np.all(np.abs(new - ref) <= 1e-13 * ref)
+        distance = sd_distance(interp, fn, prob, capped, quad)
+        assert abs(distance - ref_distance) <= 1e-13 * ref_distance
