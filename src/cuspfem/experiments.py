@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Optional
@@ -117,9 +118,8 @@ def _solve(config: SweepConfig, prob, mesh, eps: float, k: int):
     return stab, solve_banded(system)
 
 
-def _run_case(config: SweepConfig, eps: float, n: int, k: int) -> ConvergenceRow:
+def _run_case(config: SweepConfig, prob, eps: float, n: int, k: int) -> ConvergenceRow:
     try:
-        prob = make_problem(config.problem, eps, config.lam)
         mesh = build_mesh(MeshParams(eps, n, k, config.lam))
         diag = validate_mesh(mesh)
         stab, fn = _solve(config, prob, mesh, eps, k)
@@ -141,14 +141,25 @@ def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
     """
     Solve every (eps, k, N) case and attach rates between consecutive
     doubled N within each (eps, k) group.  Per-case failures land in the
-    row's `error` field and leave the other rows untouched.
+    row's `error` field and leave the other rows untouched.  Each eps's
+    Problem (and so its delta cap constant) is made by its first case and
+    shared by the rest; a failed make is retried by the eps's next case.
     """
     cases = [(eps, n, k) for eps in config.eps_list for k in config.k_list for n in config.n_list]
+    problems, lock = {}, threading.Lock()
+
+    def run(case):
+        eps, n, k = case
+        with lock:
+            if eps not in problems:
+                problems[eps] = make_problem(config.problem, eps, config.lam)
+        return _run_case(config, problems[eps], eps, n, k)
+
     if config.workers == 1:
-        rows = [_run_case(config, *case) for case in cases]
+        rows = [run(case) for case in cases]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(lambda case: _run_case(config, *case), cases))
+            rows = list(pool.map(run, cases))
     # n_list ascends, so N doubles from one row to the next only inside an
     # (eps, k) group
     for i, (cur, nxt) in enumerate(zip(rows, rows[1:])):

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import DiscreteFunction, StabilizationProfile, _blocks, _check_profile, _element_tables
-from .assembly import global_nodes
+from .assembly import _windows, global_nodes
 from .mesh import Mesh
 from .problem import Problem
 
@@ -77,21 +77,24 @@ def _panel_counts(mesh, eps: float, cap: int) -> np.ndarray:
     return np.minimum(cap, np.ceil(mesh.lengths / (0.5 * (dist + np.sqrt(eps))))).astype(int)
 
 
-def _integrate_norms(fn, problem, stab, quad, exact: bool) -> ErrorReport:
-    """Norms of e = u - fn (exact True) or of fn itself, block by block and
-    by panel count within each block; only four running sums are kept."""
+def _integrate_norms(fn, problem, stab, quad, minus=None) -> ErrorReport:
+    """Norms of e = u - fn, or of fn - minus when `minus` is given, block by
+    block and by panel count within each block; only four running sums and
+    one block's coefficient differences are kept."""
     k = fn.order
     if stab is not None:
         _check_profile(stab, fn.mesh)
+    subtrahend = None if minus is None else _windows(minus.coefficients, k)
     sums, sd = np.zeros(3), 0.0  # integrals of e^2, e'^2 and (x e')^2; the SD term
     for block in _blocks(fn.mesh, fn.coefficients, k):
+        local = block.local if minus is None else block.local - subtrahend[block.span].T
         counts = _panel_counts(block, problem.eps, quad.panels)
         for p in np.unique(counts):
             g = counts == p
             tables = _element_tables(k, fn.family, max(quad.points, k + 3), int(p))
-            h, u, xq = block.lengths[g], block.local[:, g], block.at(tables.rule.points, g)
+            h, u, xq = block.lengths[g], local[:, g], block.at(tables.rule.points, g)
             err, derr = tables.V.T @ u, (tables.D1.T @ u) / h
-            if exact:
+            if minus is None:
                 err, derr = problem.exact(xq) - err, problem.exact_dx(xq) - derr
             wq = tables.rule.weights[:, None] * h
             sums += [np.sum(wq * err * err), np.sum(wq * derr * derr), np.sum(wq * (xq * derr) ** 2)]
@@ -116,7 +119,7 @@ def error_norms(
         raise ValueError("error_norms needs a problem with exact solution")
     if mesh is not u_h.mesh and not np.array_equal(mesh.nodes, u_h.mesh.nodes):
         raise ValueError("mesh does not match the discrete function")
-    return _integrate_norms(u_h, problem, stab, quad, exact=True)
+    return _integrate_norms(u_h, problem, stab, quad)
 
 
 def sd_distance(
@@ -134,5 +137,4 @@ def sd_distance(
         raise ValueError("discrete functions differ in order or node family")
     if a_fn.mesh is not b_fn.mesh and not np.array_equal(a_fn.mesh.nodes, b_fn.mesh.nodes):
         raise ValueError("discrete functions live on different meshes")
-    diff = DiscreteFunction(a_fn.mesh, a_fn.order, a_fn.family, a_fn.coefficients - b_fn.coefficients)
-    return _integrate_norms(diff, problem, stab, quad, exact=False).sd
+    return _integrate_norms(a_fn, problem, stab, quad, minus=b_fn).sd

@@ -55,6 +55,18 @@ def near_zero_coefficient_problem(eps: float = 1.0) -> Problem:
     )
 
 
+def noncoercive_problem(eps: float = 1e-4, lam: float = 0.25) -> Problem:
+    """Valid data whose min(c - a'/2) is negative: b + x b' = (1 - 5 x^2) /
+    (1 + 5 x^2)^2 dips below -2c near x = 1.  `lam` is ignored, so the
+    function is also a registry factory."""
+    return Problem(
+        eps=eps,
+        coeff_b=lambda x: 1.0 / (1 + 5 * x * x),
+        coeff_c=lambda x: np.full_like(np.asarray(x, dtype=float), 0.01),
+        rhs_f=lambda x: np.zeros_like(x),
+    )
+
+
 def zero_stab(mesh) -> StabilizationProfile:
     n = mesh.n_intervals
     return StabilizationProfile(np.zeros(n), np.zeros(n, dtype=bool))

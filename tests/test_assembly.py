@@ -38,7 +38,7 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
-from cuspfem.assembly import BLOCK_ELEMENTS, _lu_solve
+from cuspfem.assembly import _COERCIVITY_CAPS, BLOCK_ELEMENTS, _lu_solve
 
 
 def zero_function(mesh, k, family="uniform"):
@@ -90,6 +90,27 @@ class TestComputeDeltas:
         stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=2)
         h = mesh.lengths
         assert np.all(stab.deltas <= h * h / (2.0 * eps * 12.0) * (1 + 1e-12))
+
+    def test_cap_constant_kept_per_problem_object(self):
+        # an unhashable evaluator is fine, and the constant goes with its Problem
+        @dataclasses.dataclass
+        class Reaction:
+            lam: float
+
+            def __call__(self, x):
+                return self.lam * (1.0 + x * x * x)
+
+        eps = 1e-6
+        base = make_test_problem(eps, 0.25)
+        prob = Problem(eps, base.coeff_b, Reaction(0.25), base.rhs_f)
+        mesh = build_mesh(MeshParams(eps, 64, 1, 0.25))
+        kept = len(_COERCIVITY_CAPS)
+        stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=1)
+        assert len(_COERCIVITY_CAPS) == kept + 1
+        fresh = compute_deltas(mesh, eps, policy="theorem-capped", problem=base, k=1)
+        assert np.array_equal(stab.deltas, fresh.deltas)
+        del prob
+        assert len(_COERCIVITY_CAPS) == kept + 1  # base's
 
     def test_validation(self):
         mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))
@@ -455,6 +476,21 @@ class TestWorkingMemory:
             mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
             stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
             _, peak = traced_peak(error_norms, interpolate(prob, mesh, k), prob, mesh, stab)
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 64 * 1024
+
+    @pytest.mark.parametrize("k, n_halves", [(8, (1024, 4096)), (1, (1024, 16384))])
+    def test_sd_distance_memory_does_not_grow_with_n(self, k, n_halves):
+        # the difference of the two functions is taken one block at a time
+        eps = 1e-10
+        prob = make_test_problem(eps, 0.25)
+        peaks = []
+        for n_half in n_halves:
+            mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+            stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
+            interp = interpolate(prob, mesh, k)
+            half = DiscreteFunction(mesh, k, "uniform", 0.5 * interp.coefficients)
+            _, peak = traced_peak(sd_distance, interp, half, prob, stab)
             peaks.append(peak)
         assert peaks[1] <= peaks[0] + 64 * 1024
 

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import noncoercive_problem
 
+import cuspfem.problem
 from cuspfem import (
     ERROR_REPORT_COLUMNS,
     MeshParams,
@@ -313,6 +315,29 @@ def test_invalid_setting_is_a_config_error(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "row failure" not in err
+
+
+def test_noncoercive_problem_fails_on_every_run(monkeypatch, capsys):
+    # a failed gamma estimate is not kept: the second run estimates and fails again
+    monkeypatch.setitem(cuspfem.problem._REGISTRY, "noncoercive-probe", noncoercive_problem)
+    argv = ["eps-sweep", "--problem", "noncoercive-probe", "--method", "sdfem",
+            "--delta-policy", "theorem-capped", "--eps", "1e-4,1e-6", "--n", "16", "--k", "1,2"]
+    for _ in range(2):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "coercivity" in err
+
+
+def test_theorem_capped_sweep_csv_does_not_depend_on_workers(capsys):
+    # the worker threads share each eps's Problem and its delta cap constant
+    argv = ["eps-sweep", *SWEEP, "--eps", "1,1e-4,1e-8", "--method", "sdfem",
+            "--delta-policy", "theorem-capped"]
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([*argv, "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 4
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cuspfem.assembly
+import cuspfem.experiments
 from cuspfem import (
     SweepConfig,
     Table,
@@ -21,6 +24,17 @@ from cuspfem import (
 from cuspfem.experiments import CONVERGENCE_COLUMNS
 
 QUICK = dict(lam=0.25, eps_list=(1e-6,), n_list=(16, 32), k_list=(1,))
+
+
+@pytest.fixture
+def frequent_switches():
+    """Threads switch every microsecond, so races show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestConvergenceRate:
@@ -78,6 +92,39 @@ class TestRunConvergence:
             SweepConfig(lam=0.25, eps_list=(1e-4, 1e-8), n_list=(16, 32), k_list=(1, 2), workers=4)
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_gamma_estimated_once_per_eps_per_run(self, monkeypatch, frequent_switches, workers):
+        # with more threads than cores, two cases of one eps would both
+        # estimate gamma but for the locks around the problem and its cap
+        calls, profiles = [], []
+        estimate, deltas = cuspfem.assembly.gamma_estimate, cuspfem.experiments.compute_deltas
+
+        def counted(problem, *args, **kwargs):
+            calls.append(problem.eps)
+            return estimate(problem, *args, **kwargs)
+
+        def recorded(mesh, eps, c0, policy, problem, k):
+            stab = deltas(mesh, eps, c0, policy, problem, k)
+            profiles.append((mesh, eps, k, stab))
+            return stab
+
+        monkeypatch.setattr(cuspfem.assembly, "gamma_estimate", counted)
+        monkeypatch.setattr(cuspfem.experiments, "compute_deltas", recorded)
+        config = SweepConfig(
+            lam=0.25, eps_list=(1.0, 1e-4, 1e-8), n_list=(16, 32), k_list=(1, 2),
+            method="sdfem", delta_policy="theorem-capped", workers=workers,
+        )
+        run_convergence(config)
+        assert sorted(calls) == sorted(config.eps_list)
+        # nothing outlives the run: a second run estimates gamma again
+        run_convergence(config)
+        assert len(calls) == 6
+        assert len(profiles) == 2 * 3 * 2 * 2
+        for mesh, eps, k, stab in profiles:
+            fresh = deltas(mesh, eps, 1.0, "theorem-capped", make_test_problem(eps, 0.25), k)
+            assert np.array_equal(stab.deltas, fresh.deltas)
+            assert np.array_equal(stab.caps_applied, fresh.caps_applied)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

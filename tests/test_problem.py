@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import noncoercive_problem
 
 from cuspfem import (
     Problem,
@@ -260,15 +261,8 @@ class TestGammaEstimate:
             gamma_estimate(make_test_problem(1e-8, 0.25), grid_size=100)
 
     def test_noncoercive_problem_raises(self):
-        # b + x b' = (1 - 5 x^2) / (1 + 5 x^2)^2 dips below -2c near x = 1
-        prob = Problem(
-            eps=1e-4,
-            coeff_b=lambda x: 1.0 / (1 + 5 * x * x),
-            coeff_c=lambda x: np.full_like(np.asarray(x, dtype=float), 0.01),
-            rhs_f=lambda x: np.zeros_like(x),
-        )
         with pytest.raises(ValueError, match="coercivity"):
-            gamma_estimate(prob)
+            gamma_estimate(noncoercive_problem())
 
 
 class TestLayerBoundProfile:
