@@ -23,8 +23,6 @@ values minus its first, and its correction reuses the LU factors.
 from __future__ import annotations
 
 import functools
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -33,7 +31,7 @@ from scipy.linalg import lapack
 
 from .basis import QuadratureRule, ReferenceBasis, gauss_rule, estimate_c_inv
 from .mesh import Mesh
-from .problem import Problem, gamma_estimate
+from .problem import Problem
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,24 +72,6 @@ class StabilizationProfile:
             raise ValueError("stabilization parameters must be nonnegative")
 
 
-# gamma/(2 ||c||_inf^2) by the id of a live Problem object (whose evaluators
-# need not be hashable); the lock lets threads that share a Problem estimate
-# gamma once
-_COERCIVITY_CAPS: dict[int, float] = {}
-_COERCIVITY_LOCK = threading.Lock()
-
-
-def _coercivity_cap(problem: Problem) -> float:
-    with _COERCIVITY_LOCK:
-        cap = _COERCIVITY_CAPS.get(id(problem))
-        if cap is None:
-            gamma = gamma_estimate(problem)
-            c_inf = float(np.max(problem.coeff_c(np.linspace(-1.0, 1.0, 4097))))
-            cap = _COERCIVITY_CAPS[id(problem)] = gamma / (2.0 * c_inf * c_inf)
-            weakref.finalize(problem, _COERCIVITY_CAPS.pop, id(problem))
-    return cap
-
-
 def compute_deltas(
     mesh: Mesh,
     eps: float,
@@ -106,8 +86,8 @@ def compute_deltas(
     Theorem-capped additionally clamps by gamma/(2 ||c||_inf^2) for every k,
     by h_i^2/(2 eps c_inv^2) for k >= 2, and by (K+1)/N for k = 1; these are
     the constraints under which coercivity and the supercloseness bound are
-    proved.  Needs `problem` (for gamma and ||c||_inf) and `k`; the constant
-    gamma/(2 ||c||_inf^2) is computed once per Problem object.
+    proved.  Needs `problem` and `k`; the first cap is `problem.delta_cap`,
+    which each Problem object estimates once.
     """
     if not 0.0 < c0 < np.inf:
         raise ValueError(f"c0 must be positive and finite, got {c0}")
@@ -119,7 +99,7 @@ def compute_deltas(
         return StabilizationProfile(deltas, np.zeros(h.size, dtype=bool))
     if problem is None or k is None:
         raise ValueError("theorem-capped policy needs problem and k")
-    cap = np.full(h.size, _coercivity_cap(problem))
+    cap = np.full(h.size, problem.delta_cap)
     if k >= 2:
         c_inv = estimate_c_inv(k)
         cap = np.minimum(cap, h * h / (2.0 * eps * c_inv * c_inv))

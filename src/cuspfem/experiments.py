@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Optional
@@ -142,24 +141,21 @@ def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
     Solve every (eps, k, N) case and attach rates between consecutive
     doubled N within each (eps, k) group.  Per-case failures land in the
     row's `error` field and leave the other rows untouched.  Each eps's
-    Problem (and so its delta cap constant) is made by its first case and
-    shared by the rest; a failed make is retried by the eps's next case.
+    Problem is made before any case runs and shared by its cases, so its
+    delta cap constant is estimated once per run.
     """
-    cases = [(eps, n, k) for eps in config.eps_list for k in config.k_list for n in config.n_list]
-    problems, lock = {}, threading.Lock()
-
-    def run(case):
-        eps, n, k = case
-        with lock:
-            if eps not in problems:
-                problems[eps] = make_problem(config.problem, eps, config.lam)
-        return _run_case(config, problems[eps], eps, n, k)
-
+    problems = {
+        eps: make_problem(config.problem, eps, config.lam) for eps in dict.fromkeys(config.eps_list)
+    }
+    cases = [
+        (config, problems[eps], eps, n, k)
+        for eps in config.eps_list for k in config.k_list for n in config.n_list
+    ]
     if config.workers == 1:
-        rows = [run(case) for case in cases]
+        rows = [_run_case(*case) for case in cases]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(run, cases))
+            rows = list(pool.map(_run_case, *zip(*cases)))
     # n_list ascends, so N doubles from one row to the next only inside an
     # (eps, k) group
     for i, (cur, nxt) in enumerate(zip(rows, rows[1:])):
@@ -202,11 +198,9 @@ def sample_solution(config: SweepConfig, resolution: int = 1001) -> Table:
     Evaluate the discrete and exact solutions at `resolution` equispaced
     points merged with all mesh nodes.  Needs a single (eps, N, k) case.
     """
-    if len(config.eps_list) != 1 or len(config.n_list) != 1 or len(config.k_list) != 1:
-        raise ValueError("sample_solution needs exactly one eps, one N and one k")
+    eps, n, k = _require_single(config, "sample")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    eps, n, k = config.eps_list[0], config.n_list[0], config.k_list[0]
     prob = make_problem(config.problem, eps, config.lam)
     if not prob.has_exact:
         raise ValueError("sample_solution needs a problem with exact solution")
@@ -444,7 +438,6 @@ def _layout(verb: str, config: SweepConfig, rows: list[ConvergenceRow]) -> Table
 
 
 def _cmd_sample(config: SweepConfig, args: argparse.Namespace) -> int:
-    _require_single(config, "sample")
     try:
         table = sample_solution(config, args.resolution)
     except _CASE_ERRORS as exc:

@@ -10,6 +10,7 @@ correction, plus a registry for CLI selection of user-defined problems.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,6 +20,9 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 _VALIDATION_GRID = np.linspace(-1.0, 1.0, 257)
 _ORIGIN = np.array([0.0])
+
+# lets threads that share a Problem estimate its delta cap once
+_DELTA_CAP_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,18 @@ class Problem:
     @property
     def has_exact(self) -> bool:
         return self.exact is not None
+
+    @property
+    def delta_cap(self) -> float:
+        """gamma/(2 ||c||_inf^2), the coercivity cap on every theorem-capped
+        delta.  Estimated on first access and kept on this object; a failed
+        estimate is not kept."""
+        with _DELTA_CAP_LOCK:
+            if "_delta_cap" not in self.__dict__:
+                gamma = gamma_estimate(self)
+                c_inf = float(np.max(self.coeff_c(np.linspace(-1.0, 1.0, 4097))))
+                object.__setattr__(self, "_delta_cap", gamma / (2.0 * c_inf * c_inf))
+            return self._delta_cap
 
 
 def make_test_problem(eps: float, lam: float) -> Problem:

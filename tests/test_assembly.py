@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
-from cuspfem.assembly import _COERCIVITY_CAPS, BLOCK_ELEMENTS, _lu_solve
+from cuspfem.assembly import BLOCK_ELEMENTS, _lu_solve
 
 
 def zero_function(mesh, k, family="uniform"):
@@ -104,13 +106,15 @@ class TestComputeDeltas:
         base = make_test_problem(eps, 0.25)
         prob = Problem(eps, base.coeff_b, Reaction(0.25), base.rhs_f)
         mesh = build_mesh(MeshParams(eps, 64, 1, 0.25))
-        kept = len(_COERCIVITY_CAPS)
         stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=1)
-        assert len(_COERCIVITY_CAPS) == kept + 1
+        assert "_delta_cap" in vars(prob)
         fresh = compute_deltas(mesh, eps, policy="theorem-capped", problem=base, k=1)
         assert np.array_equal(stab.deltas, fresh.deltas)
+        # nothing outside the Problem keeps it alive
+        ref = weakref.ref(prob)
         del prob
-        assert len(_COERCIVITY_CAPS) == kept + 1  # base's
+        gc.collect()
+        assert ref() is None
 
     def test_validation(self):
         mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import cuspfem.assembly
 import cuspfem.experiments
+import cuspfem.problem
 from cuspfem import (
     SweepConfig,
     Table,
@@ -85,6 +85,14 @@ class TestRunConvergence:
         with pytest.raises(ValueError, match="c0 must be positive"):
             run_convergence(config)
 
+    def test_invalid_eps_raises_before_any_case_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cuspfem.experiments, "_run_case", lambda *case: calls.append(case))
+        config = SweepConfig(**{**QUICK, "eps_list": (1e-4, 2.0)})
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            run_convergence(config)
+        assert calls == []
+
     def test_parallel_matches_serial(self):
         base = SweepConfig(lam=0.25, eps_list=(1e-4, 1e-8), n_list=(16, 32), k_list=(1, 2))
         serial = run_convergence(base)
@@ -96,9 +104,10 @@ class TestRunConvergence:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_gamma_estimated_once_per_eps_per_run(self, monkeypatch, frequent_switches, workers):
         # with more threads than cores, two cases of one eps would both
-        # estimate gamma but for the locks around the problem and its cap
+        # estimate gamma but for the one Problem per eps made before the cases
+        # and the lock around its delta cap
         calls, profiles = [], []
-        estimate, deltas = cuspfem.assembly.gamma_estimate, cuspfem.experiments.compute_deltas
+        estimate, deltas = cuspfem.problem.gamma_estimate, cuspfem.experiments.compute_deltas
 
         def counted(problem, *args, **kwargs):
             calls.append(problem.eps)
@@ -109,7 +118,7 @@ class TestRunConvergence:
             profiles.append((mesh, eps, k, stab))
             return stab
 
-        monkeypatch.setattr(cuspfem.assembly, "gamma_estimate", counted)
+        monkeypatch.setattr(cuspfem.problem, "gamma_estimate", counted)
         monkeypatch.setattr(cuspfem.experiments, "compute_deltas", recorded)
         config = SweepConfig(
             lam=0.25, eps_list=(1.0, 1e-4, 1e-8), n_list=(16, 32), k_list=(1, 2),

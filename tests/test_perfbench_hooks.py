@@ -45,6 +45,12 @@ def test_traced_passes_record_every_span_and_counter(tracer, tmp_path):
     assert set(tracer.COUNTERS) <= {key for s in t.spans for key in s}
     cases = [s["case"] for s in t.spans if s["name"] == tracer.CASE]
     assert len(cases) == 2 * 1 * 2 + 1 * 2 * 1
-    for index in range(len(ARGVS)):
-        metrics, _ = tracer.pass_metrics([s for s in t.spans if s["pass"] == index], workers=1)
+    for index, distinct_eps in enumerate((2, 1)):
+        spans = [s for s in t.spans if s["pass"] == index]
+        metrics, counts = tracer.pass_metrics(spans, workers=1)
         assert metrics["assembly.dofs"] > 0 and metrics["assembly.residual_max"] < 1e-10
+        # one Problem per eps, made by the driver before the cases
+        (root,) = [s["id"] for s in spans if s["name"] == tracer.ROOT]
+        makes = [s for s in spans if s["name"] == "problem.make"]
+        assert counts["problem.make"] == len(makes) == distinct_eps
+        assert all(s["parent"] == root for s in makes)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import noncoercive_problem
 
+import cuspfem.problem
 from cuspfem import (
     Problem,
     gamma_estimate,
@@ -263,6 +264,46 @@ class TestGammaEstimate:
     def test_noncoercive_problem_raises(self):
         with pytest.raises(ValueError, match="coercivity"):
             gamma_estimate(noncoercive_problem())
+
+
+class TestDeltaCap:
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        """The problems that gamma_estimate runs on, in call order."""
+        calls, estimate = [], cuspfem.problem.gamma_estimate
+
+        def counted(problem, *args, **kwargs):
+            calls.append(problem)
+            return estimate(problem, *args, **kwargs)
+
+        monkeypatch.setattr(cuspfem.problem, "gamma_estimate", counted)
+        return calls
+
+    def test_matches_gamma_over_twice_c_inf_squared(self):
+        # c = lam (1 + x^3) peaks at 2 lam at x = 1; gamma = lam + 1/2 at lam 0.25
+        cap = make_test_problem(1e-6, 0.25).delta_cap
+        assert cap == pytest.approx(0.75 / (2.0 * 0.5 * 0.5), rel=1e-7)
+
+    def test_estimated_once_per_object(self, estimates):
+        prob = make_test_problem(1e-6, 0.25)
+        assert prob.delta_cap == prob.delta_cap
+        assert len(estimates) == 1
+        make_test_problem(1e-6, 0.25).delta_cap
+        assert len(estimates) == 2
+
+    def test_failed_estimate_is_not_kept(self, estimates):
+        prob = noncoercive_problem()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="coercivity"):
+                prob.delta_cap
+        assert estimates == [prob, prob]
+
+    def test_leaves_eq_hash_and_repr_alone(self):
+        prob = make_test_problem(1e-6, 0.25)
+        before = (repr(prob), hash(prob))
+        prob.delta_cap
+        assert (repr(prob), hash(prob)) == before
+        assert "delta_cap" not in {f.name for f in fields(prob)}
 
 
 class TestLayerBoundProfile:
