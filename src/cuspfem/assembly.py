@@ -17,7 +17,8 @@ dominance can destroy diagonal dominance; LAPACK dgbsv on one
 Fortran-ordered copy of the bands) is followed by one step of
 fixed-precision iterative refinement: its residual applies the element
 operator block by block, with derivatives taken from each element's nodal
-values minus its first, and its correction reuses the LU factors.
+values minus its first, and its correction reuses the LU factors.  The
+residual contract's ||A||_inf (dlangb) and A x (dgbmv) read the bands in place.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .basis import QuadratureRule, ReferenceBasis, gauss_rule, estimate_c_inv
 from .mesh import Mesh
@@ -45,9 +46,6 @@ RESIDUAL_TOL = 1e-10
 # elements per block (assembly, residual, norms); at k = 8 its local
 # matrices take 0.7 MB, and 1024 measured fastest at N = 32768 among 128 .. 2048
 BLOCK_ELEMENTS = 1024
-
-# rows per chunk of a band matrix-vector product
-MATVEC_ROWS = 16384
 
 
 class AssemblyError(RuntimeError):
@@ -118,7 +116,8 @@ def _check_profile(stab: StabilizationProfile, mesh: Mesh) -> None:
 class LinearSystem:
     """
     Banded system after Dirichlet elimination: dimension 2Nk-1, half-bandwidth k.
-    `bands` is diagonal-ordered storage, bands[k + i - j, j] = A[i, j].
+    `bands` is LAPACK band storage, bands[k + i - j, j] = A[i, j], in Fortran
+    order from assembly; other layouts work, but each BLAS/LAPACK call copies them.
     `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
     (None for Galerkin) define the element operator that `solve_banded`'s
     refinement step applies.
@@ -331,14 +330,14 @@ def _assemble(
         deltas = None
     tables = _element_tables(k, family, quad_points)
     nel = mesh.n_intervals
-    bands = np.zeros((2 * k + 1, nel * k + 1))
+    bands = np.zeros((2 * k + 1, nel * k + 1), order="F")
     rhs = np.zeros(nel * k + 1)
     for block in _blocks(mesh):
         _assemble_block(problem, block, k, tables, deltas, bands, rhs)
 
     # homogeneous Dirichlet: drop first and last row/column; in diagonal
-    # ordered storage that is a column slice; the slots that referenced the
-    # eliminated rows keep their values, and no reader looks outside the matrix
+    # ordered storage that is a column slice (still Fortran-contiguous); the
+    # slots of eliminated rows keep their values, and no reader looks there
     return LinearSystem(
         bands[:, 1:-1], rhs[1:-1], mesh, k, family, problem, quad_points, deltas
     )
@@ -373,29 +372,10 @@ def assemble_sdfem(
     return _assemble(problem, mesh, k, family, quad_points or k + 3, stab.deltas)
 
 
-def _band_matvec(bands: np.ndarray, k: int, x: Optional[np.ndarray] = None) -> np.ndarray:
-    """A x, or the absolute row sums of A when x is None.  The rows go in
-    chunks of MATVEC_ROWS, so y and x stay in cache over the 2k+1
-    diagonals; each y[i] adds its diagonals in the same order either way."""
-    n = bands.shape[1]
-    y = np.zeros(n)
-    term = np.empty(min(n, MATVEC_ROWS))
-    for r0 in range(0, n, MATVEC_ROWS):
-        for o in range(-k, k + 1):
-            # the chunk's rows i with 0 <= i - o < n
-            lo, hi = max(r0, o), min(r0 + MATVEC_ROWS, n + min(o, 0))
-            diag, t = bands[k + o, lo - o : hi - o], term[: max(hi - lo, 0)]
-            if x is None:
-                np.abs(diag, out=t)
-            else:
-                np.multiply(diag, x[lo - o : hi - o], out=t)
-            y[lo:hi] += t
-    return y
-
-
 def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with the eliminated (interior) matrix."""
-    return _band_matvec(system.bands, system.order, np.asarray(x, dtype=float))
+    """Matrix-vector product with the eliminated (interior) matrix (BLAS dgbmv)."""
+    n, k = system.dimension, system.order
+    return blas.dgbmv(n, n, k, k, 1.0, system.bands, np.asarray(x, dtype=float))
 
 
 def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
@@ -461,7 +441,7 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     returned function.
     """
     k, bands, rhs = system.order, system.bands, system.rhs
-    norm_a = np.max(_band_matvec(bands, k))
+    norm_a = lapack.dlangb("I", k, k, bands)
     norm_b = np.max(np.abs(rhs), initial=0.0)
     if not (np.isfinite(norm_a) and np.isfinite(norm_b)):
         raise SolverError("banded LU failed: array must not contain infs or NaNs")

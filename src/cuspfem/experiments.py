@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (
+    DELTA_POLICIES,
     RESIDUAL_TOL,
     AssemblyError,
     SolverError,
@@ -313,7 +314,7 @@ def _add_common(sp) -> None:
         choices=("uniform", "lobatto", "gauss-lobatto"),
     )
     sp.add_argument("--c0", type=float)
-    sp.add_argument("--delta-policy", choices=("standard", "theorem-capped"))
+    sp.add_argument("--delta-policy", choices=DELTA_POLICIES)
     sp.add_argument("--quad-assembly", type=int, help="Gauss points per element (0 = k+3)")
     sp.add_argument(
         "--quad-error-points", dest="points", type=int,

@@ -155,15 +155,24 @@ class TestSystemStructure:
         assert np.max(np.abs(dense - dense.T)) <= 1e-13 * np.max(np.abs(dense))
         assert np.array_equal(system.rhs, np.zeros_like(system.rhs))
 
-    def test_apply_system_matches_dense(self):
+    @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_apply_system_matches_dense(self, k, method):
+        # assembly's Fortran-ordered bands, and a C-ordered copy of them
         prob = make_test_problem(1e-4, 0.25)
-        mesh = build_mesh(MeshParams(1e-4, 8, 3, 0.25))
-        system = assemble_galerkin(prob, mesh, 3)
+        mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
+        if method == "galerkin":
+            system = assemble_galerkin(prob, mesh, k)
+        else:
+            system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, 1e-4))
+        c_ordered = dataclasses.replace(system, bands=np.ascontiguousarray(system.bands))
+        assert c_ordered.bands.flags.c_contiguous and not c_ordered.bands.flags.f_contiguous
         dense = bands_to_dense(system)
         rng = np.random.default_rng(4)
         for _ in range(5):
             v = rng.standard_normal(system.dimension)
-            assert apply_system(system, v) == pytest.approx(dense @ v, rel=1e-13, abs=1e-13)
+            for sys_ in (system, c_ordered):
+                assert apply_system(sys_, v) == pytest.approx(dense @ v, rel=1e-13, abs=1e-13)
 
     def test_sdfem_requires_matching_profile(self):
         prob = make_test_problem(1e-6, 0.25)
@@ -346,12 +355,13 @@ class TestSolver:
         with pytest.raises(SolverError):
             solve_banded(LinearSystem(system.bands, rhs, mesh, k, "uniform", prob))
 
-    def test_non_finite_band_entry_is_a_solver_error(self):
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_band_entry_is_a_solver_error(self, value):
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, 1, 0.25))
         system = assemble_galerkin(prob, mesh, 1)
         bands = system.bands.copy()
-        bands[1, 3] = np.inf
+        bands[1, 3] = value
         with pytest.raises(SolverError):
             solve_banded(LinearSystem(bands, system.rhs, mesh, 1, "uniform", prob))
 
@@ -457,6 +467,22 @@ class TestWorkingMemory:
             _, peak = traced_peak(solve_banded, system)
             beyond.append(peak - (3 * k + 1) * n * 8 - 2 * n * 8 - n * 4)
         assert beyond[1] <= beyond[0] + 64 * 1024
+
+    @pytest.mark.parametrize("k, n_half", [(1, 4096), (8, 1024)])
+    def test_apply_system_allocates_only_its_result(self, k, n_half):
+        # assembly returns Fortran-ordered bands, which dgbmv reads in place:
+        # the product allocates its n-vector result and no band copy or buffer
+        eps = 1e-10
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+        x = np.random.default_rng(k).standard_normal(2 * n_half * k - 1)
+        for system in (
+            assemble_galerkin(prob, mesh, k),
+            assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps)),
+        ):
+            assert system.bands.flags.f_contiguous
+            _, peak = traced_peak(apply_system, system, x)
+            assert peak <= x.nbytes + 16 * 1024
 
     def test_assembly_memory_beyond_the_system_does_not_grow_with_n(self):
         eps, k = 1e-10, 8
