@@ -374,8 +374,10 @@ def assemble_sdfem(
 
 def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the eliminated (interior) matrix (BLAS dgbmv)."""
-    n, k = system.dimension, system.order
-    return blas.dgbmv(n, n, k, k, 1.0, system.bands, np.asarray(x, dtype=float))
+    n, k, x = system.dimension, system.order, np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x has shape {x.shape}; the system needs {n} entries")
+    return blas.dgbmv(n, n, k, k, 1.0, system.bands, x)
 
 
 def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:

@@ -10,9 +10,12 @@ of solution/error curves for external plotting.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Optional
@@ -36,8 +39,9 @@ from .problem import make_problem, problem_names
 METHODS = ("fem", "sdfem")
 FORMATS = ("csv", "markdown")
 
-# per-row failures; a ValueError is a configuration error and aborts the run
-_CASE_ERRORS = (MeshConstructionError, AssemblyError, SolverError)
+# one case's failures: a row's error in `_run_case`, exit 2 in `main` for mesh
+# and sample; a ValueError is a configuration error and aborts the run
+_CASE_ERRORS = (MeshConstructionError, AssemblyError, SolverError, MemoryError)
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,16 @@ def _solve(config: SweepConfig, prob, mesh, eps: float, k: int):
     return stab, solve_banded(system)
 
 
+def _case_message(exc: BaseException) -> str:
+    """A case error's text; an allocation failure also names the innermost
+    cuspfem function on its traceback."""
+    if not isinstance(exc, MemoryError):
+        return str(exc)
+    frames = (frame for frame, _ in traceback.walk_tb(exc.__traceback__))
+    where = [f.f_code.co_name for f in frames if f.f_globals.get("__package__") == "cuspfem"]
+    return f"out of memory in {where[-1]}: {exc}"
+
+
 def _run_case(config: SweepConfig, prob, eps: float, n: int, k: int) -> ConvergenceRow:
     try:
         mesh = build_mesh(MeshParams(eps, n, k, config.lam))
@@ -125,7 +139,7 @@ def _run_case(config: SweepConfig, prob, eps: float, n: int, k: int) -> Converge
         stab, fn = _solve(config, prob, mesh, eps, k)
         report = error_norms(fn, prob, mesh, stab, config.quad_error)
     except _CASE_ERRORS as exc:
-        return ConvergenceRow(eps, n, None, k, error=str(exc))
+        return ConvergenceRow(eps, n, None, k, error=_case_message(exc))
     return ConvergenceRow(
         eps,
         n,
@@ -152,11 +166,8 @@ def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
         (config, problems[eps], eps, n, k)
         for eps in config.eps_list for k in config.k_list for n in config.n_list
     ]
-    if config.workers == 1:
-        rows = [_run_case(*case) for case in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_run_case, *zip(*cases)))
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        rows = list(pool.map(_run_case, *zip(*cases)))
     # n_list ascends, so N doubles from one row to the next only inside an
     # (eps, k) group
     for i, (cur, nxt) in enumerate(zip(rows, rows[1:])):
@@ -246,18 +257,15 @@ def emit(table: Table, fmt: str = "csv", path=None) -> str:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    lines = []
+    cells = ([_fmt_cell(c, v, fmt) for c, v in zip(table.columns, row)] for row in table.rows)
     if fmt == "csv":
-        lines.append(",".join(table.columns))
-        for row in table.rows:
-            lines.append(",".join(_fmt_cell(c, v, fmt) for c, v in zip(table.columns, row)))
+        # a cell that holds a comma, quote or newline (an error message) is quoted
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([table.columns, *cells])
+        text = buf.getvalue()
     else:
-        lines.append("| " + " | ".join(table.columns) + " |")
-        lines.append("|" + "|".join(" --- " for _ in table.columns) + "|")
-        for row in table.rows:
-            cells = (_fmt_cell(c, v, fmt) for c, v in zip(table.columns, row))
-            lines.append("| " + " | ".join(cells) + " |")
-    text = "\n".join(lines) + "\n"
+        rule = ["---"] * len(table.columns)
+        text = "".join("| " + " | ".join(row) + " |\n" for row in [table.columns, rule, *cells])
     if path is not None:
         try:
             with open(path, "w") as fh:
@@ -383,11 +391,7 @@ def _require_single(config: SweepConfig, verb: str) -> tuple[float, int, int]:
 
 def _cmd_mesh(config: SweepConfig, args: argparse.Namespace) -> int:
     eps, n, k = _require_single(config, "mesh")
-    try:
-        mesh = build_mesh(MeshParams(eps, n, k, config.lam))
-    except MeshConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    mesh = build_mesh(MeshParams(eps, n, k, config.lam))
     diag = validate_mesh(mesh)
     print(json.dumps(mesh_header(mesh)))
     if args.out:
@@ -438,15 +442,6 @@ def _layout(verb: str, config: SweepConfig, rows: list[ConvergenceRow]) -> Table
     return Table(columns, data)
 
 
-def _cmd_sample(config: SweepConfig, args: argparse.Namespace) -> int:
-    try:
-        table = sample_solution(config, args.resolution)
-    except _CASE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _print_table(args, table)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -462,12 +457,15 @@ def main(argv=None) -> int:
         if args.command == "mesh":
             return _cmd_mesh(config, args)
         if args.command == "sample":
-            return _cmd_sample(config, args)
+            return _print_table(args, sample_solution(config, args.resolution))
         if args.command == "solve":
             _require_single(config, "solve")
         rows = run_convergence(config)
         failures = [r.error for r in rows if r.error is not None]
         return _print_table(args, _layout(args.command, config, rows), failures)
+    except _CASE_ERRORS as exc:  # mesh and sample; MeshConstructionError is a ValueError
+        print(f"error: {_case_message(exc)}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+import cuspfem.assembly
 from cuspfem import (
     DiscreteFunction,
     Problem,
     StabilizationProfile,
     gauss_rule,
+    make_test_problem,
 )
 from cuspfem.assembly import BLOCK_ELEMENTS, _ref_basis
 from cuspfem.norms import _panel_counts
@@ -65,6 +69,32 @@ def noncoercive_problem(eps: float = 1e-4, lam: float = 0.25) -> Problem:
         coeff_c=lambda x: np.full_like(np.asarray(x, dtype=float), 0.01),
         rhs_f=lambda x: np.zeros_like(x),
     )
+
+
+def nan_load_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
+    """The manufactured problem with f = NaN on (0.2, 0.3), so that assembly
+    fails with a message holding commas; also a registry factory."""
+    base = make_test_problem(eps, lam)
+    f = base.rhs_f
+    return replace(base, rhs_f=lambda x: np.where((x > 0.2) & (x < 0.3), np.nan, f(x)))
+
+
+# numpy's MemoryError text for an array that does not fit
+OOM_TEXT = "Unable to allocate 5.00 GiB for an array with shape (5, 134217729) and data type float64"
+
+
+def starve_assembly(monkeypatch, max_columns: int = 0) -> None:
+    """Make assembly raise numpy's MemoryError, as a case too large for
+    memory does, for every system with more than `max_columns` band columns
+    (2 N k + 1 before the boundary rows are dropped)."""
+    block = cuspfem.assembly._assemble_block
+
+    def starved(problem, blk, k, tables, deltas, bands, rhs):
+        if bands.shape[1] > max_columns:
+            raise MemoryError(OOM_TEXT)
+        block(problem, blk, k, tables, deltas, bands, rhs)
+
+    monkeypatch.setattr(cuspfem.assembly, "_assemble_block", starved)
 
 
 def zero_stab(mesh) -> StabilizationProfile:

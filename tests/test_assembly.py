@@ -174,6 +174,17 @@ class TestSystemStructure:
             for sys_ in (system, c_ordered):
                 assert apply_system(sys_, v) == pytest.approx(dense @ v, rel=1e-13, abs=1e-13)
 
+    @pytest.mark.parametrize("wrong", ["n+3", "n-1", "column"])
+    def test_apply_system_rejects_x_of_another_shape(self, wrong):
+        # dgbmv alone would use a longer x truncated and fail on a shorter one
+        mesh = build_mesh(MeshParams(1e-4, 8, 2, 0.25))
+        system = assemble_galerkin(make_test_problem(1e-4, 0.25), mesh, 2)
+        n = system.dimension
+        x = np.ones({"n+3": (n + 3,), "n-1": (n - 1,), "column": (n, 1)}[wrong])
+        message = f"x has shape {x.shape}; the system needs {n} entries"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_system(system, x)
+
     def test_sdfem_requires_matching_profile(self):
         prob = make_test_problem(1e-6, 0.25)
         mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import csv
 import json
 import math
 import os
@@ -11,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import noncoercive_problem
+from helpers import OOM_TEXT, nan_load_problem, noncoercive_problem, starve_assembly
 
+import cuspfem.mesh
 import cuspfem.problem
 from cuspfem import (
     ERROR_REPORT_COLUMNS,
@@ -25,7 +28,7 @@ from cuspfem import (
     run_convergence,
     sample_solution,
 )
-from cuspfem.experiments import CONVERGENCE_COLUMNS, main
+from cuspfem.experiments import _CONFIG_KEYS, CONVERGENCE_COLUMNS, build_parser, main
 
 QUICK = ["--lambda", "0.25", "--eps", "1e-6", "--n", "16", "--k", "1"]
 QUICK_CONFIG = SweepConfig(lam=0.25, eps_list=(1e-6,), n_list=(16,), k_list=(1,))
@@ -91,7 +94,15 @@ class TestMeshVerb:
     def test_too_coarse_exits_2(self, capsys):
         code = main(["mesh", "--eps", "1e-40", "--n", "4", "--k", "8", "--lambda", "0.005"])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: mesh too coarse")
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def starved(n_half, big_k):
+            raise MemoryError(OOM_TEXT)
+
+        monkeypatch.setattr(cuspfem.mesh, "_decade_parts", starved)
+        assert main(["mesh", "--eps", "1e-4", "--n", "64", "--k", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: out of memory in build_mesh: {OOM_TEXT}\n")
 
 
 class TestSolveVerb:
@@ -151,6 +162,30 @@ class TestConvergeVerb:
         err = capsys.readouterr().err
         assert "row failure" in err
 
+    def test_failed_rows_parse_as_csv(self, monkeypatch, capsys):
+        # the assembly error names an interval, "(x in [a, b])", so the cell holds a comma
+        monkeypatch.setitem(cuspfem.problem._REGISTRY, "nan-load-probe", nan_load_problem)
+        assert main(["converge", *SWEEP, "--problem", "nan-load-probe", "--eps", "1e-6"]) == 2
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert header == list(CONVERGENCE_COLUMNS) and len(rows) == 4
+        config = replace(SWEEP_CONFIG, problem="nan-load-probe", eps_list=(1e-6,))
+        errors = [r.error for r in run_convergence(config)]
+        assert all("," in e for e in errors)
+        for row, error in zip(rows, errors):
+            assert len(row) == len(CONVERGENCE_COLUMNS)
+            assert row[CONVERGENCE_COLUMNS.index("error")] == error
+
+    def test_out_of_memory_row_fails_and_the_others_print(self, monkeypatch, capsys):
+        starve_assembly(monkeypatch, max_columns=33)  # N = 16 fits, N = 32 does not
+        assert main(["converge", *SWEEP, "--eps", "1e-6", "--k", "1"]) == 2
+        out, err = capsys.readouterr()
+        message = f"out of memory in _assemble: {OOM_TEXT}"
+        assert err == f"row failure: {message}\n"
+        _, *rows = csv.reader(out.splitlines())
+        fits, starved = (dict(zip(CONVERGENCE_COLUMNS, row)) for row in rows)
+        assert fits["error"] == "" and fits["residual_ok"] == "True"
+        assert starved["error"] == message and starved["energy"] == "nan"
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "conv.csv"
         code = main(
@@ -202,6 +237,16 @@ class TestOtherVerbs:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "x,u_N,u,err"
         assert len(lines) >= 12
+
+    def test_sample_too_coarse_exits_2(self, capsys):
+        assert main(["sample", "--eps", "1e-40", "--n", "4", "--k", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: mesh too coarse")
+
+    def test_sample_out_of_memory_exits_2(self, monkeypatch, capsys):
+        starve_assembly(monkeypatch)
+        assert main(["sample", *QUICK]) == 2
+        assert capsys.readouterr() == ("", f"error: out of memory in _assemble: {OOM_TEXT}\n")
 
     def test_family_alias(self, capsys):
         assert main(["solve", *QUICK, "--family", "lobatto"]) == 0
@@ -278,6 +323,16 @@ class TestConfigFile:
         nulls = capsys.readouterr().out
         assert main(["solve", *QUICK, "--method", "sdfem"]) == 0
         assert nulls == capsys.readouterr().out
+
+    def test_config_keys_are_the_sample_flags(self):
+        # sample has every flag; a new flag without a config key fails here
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name[2:].replace("-", "_")
+            for action in sub.choices["sample"]._actions for name in action.option_strings
+            if name.startswith("--")
+        }
+        assert _CONFIG_KEYS == flags - {"help", "config"}
 
     def test_every_key_matches_its_flag(self, tmp_path, capsys):
         conf = {

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import OOM_TEXT, starve_assembly
 
 import cuspfem.experiments
 import cuspfem.problem
@@ -79,6 +81,25 @@ class TestRunConvergence:
         assert rows[0].error is not None
         assert math.isnan(rows[0].energy)
         assert rows[1].error is None and rows[1].residual_ok
+
+    def test_case_out_of_memory_fails_only_its_row(self, monkeypatch):
+        # the N = 32 case cannot allocate its system (2 N k + 1 = 65 columns)
+        starve_assembly(monkeypatch, max_columns=33)
+        first, second = run_convergence(SweepConfig(**QUICK))
+        assert first.error is None and first.residual_ok and first.energy_rate is None
+        assert second.error == f"out of memory in _assemble: {OOM_TEXT}"
+        assert math.isnan(second.energy) and second.big_k is None
+
+    def test_cases_run_on_the_pool_at_one_worker(self, monkeypatch):
+        threads, run_case = [], cuspfem.experiments._run_case
+
+        def recorded(*case):
+            threads.append(threading.current_thread())
+            return run_case(*case)
+
+        monkeypatch.setattr(cuspfem.experiments, "_run_case", recorded)
+        assert run_convergence(SweepConfig(**QUICK, workers=1))[0].error is None
+        assert len(threads) == 2 and threading.main_thread() not in threads
 
     def test_invalid_setting_raises_instead_of_failing_rows(self):
         config = SweepConfig(**QUICK, method="sdfem", c0=-1.0)
