@@ -414,24 +414,6 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
     return r
 
 
-def _lu_solve(system: LinearSystem):
-    """
-    LAPACK dgbsv (banded LU with partial pivoting) on one Fortran-ordered
-    (3k+1, n) copy of the bands, k extra rows for the fill-in: the LU
-    factors, the pivots, and the solution as nodal coefficients with
-    boundary entries 0.
-    """
-    k, n = system.order, system.dimension
-    ab = np.zeros((3 * k + 1, n), order="F")
-    ab[k:] = system.bands
-    coeffs = np.zeros(n + 2)
-    coeffs[1:-1] = system.rhs
-    lu, piv, _, info = lapack.dgbsv(k, k, ab, coeffs[1:-1], overwrite_ab=1, overwrite_b=1)
-    if info > 0:
-        raise SolverError("banded LU failed: singular matrix")
-    return lu, piv, coeffs
-
-
 def solve_banded(system: LinearSystem) -> DiscreteFunction:
     """
     Solve with the band matrix as a preconditioner: banded LU, then one
@@ -442,17 +424,26 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     matrix) at the refined x; the achieved residual is recorded on the
     returned function.
     """
-    k, bands, rhs = system.order, system.bands, system.rhs
+    k, n, bands, rhs = system.order, system.dimension, system.bands, system.rhs
     norm_a = lapack.dlangb("I", k, k, bands)
     norm_b = np.max(np.abs(rhs), initial=0.0)
     if not (np.isfinite(norm_a) and np.isfinite(norm_b)):
         raise SolverError("banded LU failed: array must not contain infs or NaNs")
-    lu, piv, coeffs = _lu_solve(system)
+    # dgbsv (banded LU with partial pivoting) on one Fortran-ordered copy of
+    # the bands, k extra rows for the fill-in, and in place on the interior
+    # of the nodal coefficients, whose boundary entries stay 0
+    ab = np.zeros((3 * k + 1, n), order="F")
+    ab[k:] = bands
+    coeffs = np.zeros(n + 2)
     sol = coeffs[1:-1]
+    sol[:] = rhs
+    lu, piv, _, info = lapack.dgbsv(k, k, ab, sol, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise SolverError("banded LU failed: singular matrix")
     step = _element_residual(system, coeffs)
     lapack.dgbtrs(lu, k, k, step, piv, overwrite_b=1)
     sol += step
-    del lu, piv, step  # freed before the contract's temporaries
+    del ab, lu, piv, step  # freed before the contract's temporaries
     if not np.all(np.isfinite(sol)):
         raise SolverError("banded LU produced non-finite values (singular system?)")
     res = apply_system(system, sol)

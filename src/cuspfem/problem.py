@@ -173,21 +173,19 @@ def _a_prime(a: Evaluator, x: np.ndarray) -> np.ndarray:
     return d + dd * s + ddd * (s * s / 2)
 
 
-def gamma_estimate(problem: Problem, grid_size: int = 2001) -> float:
+def gamma_estimate(problem: Problem) -> float:
     """
-    Minimum of (c - a'/2) on a uniform grid, refined on a second grid of the
-    same size over the cells beside the first grid's argmin.  Raises if the
-    estimate is not positive, since the energy-norm analysis needs gamma > 0.
+    Minimum of (c - a'/2) on a uniform 2001-point grid, refined on a second
+    2001-point grid over the cells beside the first grid's argmin.  Raises if
+    the estimate is not positive, since the energy-norm analysis needs gamma > 0.
     """
-    if grid_size < 1000:
-        raise ValueError(f"grid_size must be >= 1000, got {grid_size}")
 
     def g(x):
         return problem.coeff_c(x) - 0.5 * _a_prime(problem.coeff_a, x)
 
-    x = np.linspace(-1.0, 1.0, grid_size)
+    x = np.linspace(-1.0, 1.0, 2001)
     i = int(np.argmin(g(x)))
-    x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, grid_size - 1)], grid_size)
+    x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, 2000)], 2001)
     gamma = float(np.min(g(x)))
     if gamma <= 0.0:
         raise ValueError(f"coercivity condition violated: min(c - a'/2) = {gamma} <= 0")

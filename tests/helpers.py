@@ -79,6 +79,12 @@ def nan_load_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
     return replace(base, rhs_f=lambda x: np.where((x > 0.2) & (x < 0.3), np.nan, f(x)))
 
 
+def no_exact_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
+    """The manufactured problem's data without its exact solution; also a
+    registry factory."""
+    return replace(make_test_problem(eps, lam), exact=None, exact_dx=None)
+
+
 # numpy's MemoryError text for an array that does not fit
 OOM_TEXT = "Unable to allocate 5.00 GiB for an array with shape (5, 134217729) and data type float64"
 

@@ -29,6 +29,7 @@ from cuspfem import (
     MeshParams,
     Problem,
     SolverError,
+    StabilizationProfile,
     apply_system,
     assemble_galerkin,
     assemble_sdfem,
@@ -40,7 +41,7 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
-from cuspfem.assembly import BLOCK_ELEMENTS, _lu_solve
+from cuspfem.assembly import BLOCK_ELEMENTS
 
 
 def zero_function(mesh, k, family="uniform"):
@@ -64,6 +65,10 @@ class TestComputeDeltas:
         # scalar sanity: convection-dominated element gets h, diffusive h^2/eps
         assert min(0.01 ** 2 / 1.0, 0.01) == 1e-4
         assert min(0.01 ** 2 / 1e-6, 0.01) == 0.01
+
+    def test_negative_delta_rejected(self):
+        with pytest.raises(ValueError, match="stabilization parameters must be nonnegative"):
+            StabilizationProfile(np.array([0.1, -1e-3]), np.zeros(2, dtype=bool))
 
     def test_c0_scaling(self):
         mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))
@@ -327,9 +332,31 @@ class TestSolver:
             with pytest.raises(SolverError, match="singular"):
                 solve_banded(LinearSystem(bands, np.ones(n), mesh, k, "uniform", prob))
 
+    def test_bands_that_disagree_with_the_element_operator_miss_the_contract(self):
+        # the refinement step corrects towards the element operator's
+        # solution, which these bands miss by a relative 7.5e-8
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 16, 2, 0.25))
+        system = assemble_galerkin(prob, mesh, 2)
+        scaled = dataclasses.replace(system, bands=np.asfortranarray(system.bands * (1 + 1e-6)))
+        with pytest.raises(SolverError, match="residual contract violated"):
+            solve_banded(scaled)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_solution_is_a_solver_error(self, k):
+        # nonsingular, but the solution 1e10 / 1e-300 overflows to inf
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
+        n = 2 * 8 * k - 1
+        bands = np.zeros((2 * k + 1, n), order="F")
+        bands[k] = 1e-300
+        system = LinearSystem(bands, np.full(n, 1e10), mesh, k, "uniform", prob)
+        with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="non-finite values"):
+            solve_banded(system)
+
     @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
     @pytest.mark.parametrize("k", range(1, 9))
-    def test_matches_scipy_solve_banded_bitwise(self, k, method):
+    def test_matches_scipy_solve_banded_bitwise(self, k, method, monkeypatch):
         eps = 1e-6
         prob = make_test_problem(eps, 0.25)
         mesh = build_mesh(MeshParams(eps, 64, k, 0.25))
@@ -344,7 +371,11 @@ class TestSolver:
         ab = np.zeros((3 * k + 1, rhs.size))
         ab[k:] = bands
         sol = lapack.dgbsv(k, k, ab, rhs)[2]
-        assert np.array_equal(_lu_solve(system)[2][1:-1], sol)
+        # a zero residual makes the refinement step zero, so the solve
+        # returns its LU solution
+        with monkeypatch.context() as m:
+            m.setattr("cuspfem.assembly._element_residual", lambda s, c: np.zeros(s.dimension))
+            assert np.array_equal(solve_banded(system).coefficients[1:-1], sol)
         if k >= 2:
             assert np.array_equal(sol, scipy.linalg.solve_banded((k, k), bands, rhs))
         # the recorded residual is the band matrix's, at the refined solution
@@ -412,6 +443,11 @@ class TestSolver:
         m = re.search(r"element (\d+) \(x in \[(\S+), (\S+)\]\)", str(info.value))
         assert m is not None and int(m[1]) == e
         assert float(m[2]) <= x_nan <= float(m[3])
+
+    def test_coefficient_vector_of_the_wrong_length_rejected(self):
+        mesh = build_mesh(MeshParams(1.0, 8, 2, 1.0))  # 16 elements, 33 nodes
+        with pytest.raises(ValueError, match="has length 32, expected 33"):
+            DiscreteFunction(mesh, 2, "uniform", np.zeros(32))
 
     def test_evaluate_solution(self):
         prob = patch_problem(eps=1.0, degree=2)

@@ -134,6 +134,10 @@ class TestInverseEstimate:
         best = math.sqrt(np.max(num / den))
         assert estimate_c_inv(2) == pytest.approx(best, rel=1e-6)
 
+    def test_rejects_order_0(self):
+        with pytest.raises(ValueError, match="polynomial order must be >= 1, got 0"):
+            estimate_c_inv(0)
+
     def test_monotone_in_k(self):
         vals = [estimate_c_inv(k) for k in range(1, 9)]
         assert all(b > a for a, b in zip(vals, vals[1:]))

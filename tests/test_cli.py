@@ -13,12 +13,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import OOM_TEXT, nan_load_problem, noncoercive_problem, starve_assembly
+from helpers import (
+    OOM_TEXT,
+    nan_load_problem,
+    no_exact_problem,
+    noncoercive_problem,
+    starve_assembly,
+)
 
 import cuspfem.mesh
 import cuspfem.problem
 from cuspfem import (
     ERROR_REPORT_COLUMNS,
+    MeshDiagnostics,
     MeshParams,
     SweepConfig,
     Table,
@@ -95,6 +102,14 @@ class TestMeshVerb:
         code = main(["mesh", "--eps", "1e-40", "--n", "4", "--k", "8", "--lambda", "0.005"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: mesh too coarse")
+
+    def test_violation_exits_2_after_the_header(self, monkeypatch, capsys):
+        planted = MeshDiagnostics(("planted violation",), 0.5)
+        monkeypatch.setattr("cuspfem.experiments.validate_mesh", lambda mesh: planted)
+        assert main(["mesh", "--eps", "1e-4", "--n", "64", "--k", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["N"] == 64
+        assert err == "violation: planted violation\n"
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         def starved(n_half, big_k):
@@ -204,6 +219,19 @@ class TestOtherVerbs:
         assert lines[0] == "eps,N,K,k,energy,ratio,error"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_ratio_of_a_failed_row_is_nan(self, fmt, capsys):
+        argv = ["ratio", "--lambda", "0.005", "--eps", "1e-30", "--n", "4,64", "--k", "2"]
+        assert main([*argv, "--format", fmt]) == 2  # N = 4 is too coarse
+        lines = capsys.readouterr().out.splitlines()
+        if fmt == "csv":
+            ratios = [row[5] for row in csv.reader(lines[1:])]
+        else:
+            ratios = [line.split(" | ")[5] for line in lines[2:]]
+        config = SweepConfig(lam=0.005, eps_list=(1e-30,), n_list=(4, 64), k_list=(2,))
+        ratio = ratio_table(run_convergence(config)).rows[1][5]
+        assert ratios == ["nan", f"{ratio:.17g}" if fmt == "csv" else f"{ratio:.2f}"]
+
     def test_eps_sweep_wide_layout(self, capsys):
         code = main(["eps-sweep", "--lambda", "0.25", "--eps", "1,1e-4", "--n", "16,32", "--k", "1,2"])
         assert code == 0
@@ -248,6 +276,12 @@ class TestOtherVerbs:
         assert main(["sample", *QUICK]) == 2
         assert capsys.readouterr() == ("", f"error: out of memory in _assemble: {OOM_TEXT}\n")
 
+    def test_sample_needs_an_exact_solution(self, monkeypatch, capsys):
+        monkeypatch.setitem(cuspfem.problem._REGISTRY, "no-exact-probe", no_exact_problem)
+        assert main(["sample", *QUICK, "--problem", "no-exact-probe"]) == 1
+        err = "config error: sample_solution needs a problem with exact solution\n"
+        assert capsys.readouterr() == ("", err)
+
     def test_family_alias(self, capsys):
         assert main(["solve", *QUICK, "--family", "lobatto"]) == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "gauss-lobatto"
@@ -279,6 +313,12 @@ class TestConfigFile:
         conf.write_text(json.dumps({"mesh_size": 3}))
         assert main(["solve", "--config", str(conf), *QUICK]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_array_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps([{"n": 16}]))
+        assert main(["solve", "--config", str(conf), *QUICK]) == 1
+        assert "expected a JSON object" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "none.json"), *QUICK]) == 1

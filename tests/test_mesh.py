@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from decimal import Decimal, getcontext
 
@@ -165,7 +166,38 @@ class TestBuildMesh:
         MeshParams(1.0, 8, 1, 2.0)
 
 
+def _moved(mesh: Mesh, i: int, x: float) -> Mesh:
+    """`mesh` with node i moved to x, and its lengths to match."""
+    nodes = mesh.nodes.copy()
+    nodes[i] = x
+    return dataclasses.replace(mesh, nodes=nodes, lengths=np.diff(nodes))
+
+
+# on eps 1e-8, N 16, k 2, lambda 0.25: K = 4, (K+1)/N = 0.3125, and the
+# outermost decade's elements are 0.225 long; node 16 of 33 is 0
+BROKEN_MESHES = {
+    "interval count 32 != 2N = 34": lambda m: dataclasses.replace(
+        m, params=dataclasses.replace(m.params, n_half=17)
+    ),
+    "nodes not strictly increasing": lambda m: _moved(m, 5, m.nodes[4]),
+    "endpoints differ from -1, 1": lambda m: dataclasses.replace(m, nodes=m.nodes * 0.5),
+    "0 is not the central node": lambda m: _moved(m, 16, 0.5 * m.nodes[17]),
+    "max interval length 0.4 exceeds (K+1)/N = 0.3125": lambda m: _moved(m, -2, 0.6),
+    "10^-K = 0.0001 outside [sigma/10, sigma)": lambda m: dataclasses.replace(
+        m, sigma=m.sigma * 100
+    ),
+    "x_1 = 3.33": lambda m: dataclasses.replace(m, sigma_branch="n"),
+}
+
+
 class TestValidateMesh:
+    @pytest.mark.parametrize("message", list(BROKEN_MESHES))
+    def test_each_violation_reported(self, message):
+        mesh = build_mesh(MeshParams(1e-8, 16, 2, 0.25))
+        assert validate_mesh(mesh).violations == ()
+        violations = validate_mesh(BROKEN_MESHES[message](mesh)).violations
+        assert any(v.startswith(message) for v in violations), violations
+
     def test_clean_meshes_pass(self):
         for eps, n, k, lam in [(1.0, 10, 1, 0.5), (1e-10, 512, 2, 0.005), (1e-30, 64, 3, 0.25)]:
             mesh = build_mesh(MeshParams(eps, n, k, lam))

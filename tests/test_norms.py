@@ -5,7 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import patch_problem, uniform_error_norms, whole_mesh_norms, zero_stab
+from helpers import (
+    no_exact_problem,
+    patch_problem,
+    uniform_error_norms,
+    whole_mesh_norms,
+    zero_stab,
+)
 
 import cuspfem.assembly
 from cuspfem import (
@@ -106,6 +112,12 @@ class TestErrorNorms:
         assert rep.energy == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert rep.sd == rep.energy
         assert rep.weighted_xdp == pytest.approx(0.0, abs=1e-12)
+
+    def test_requires_exact(self):
+        mesh = build_mesh(MeshParams(1e-6, 16, 1, 0.25))
+        zero_fn = DiscreteFunction(mesh, 1, "uniform", np.zeros(mesh.n_intervals + 1))
+        with pytest.raises(ValueError, match="error_norms needs a problem with exact solution"):
+            error_norms(zero_fn, no_exact_problem(), mesh)
 
     def test_in_space_solution_measures_zero(self):
         prob = patch_problem(eps=1.0, degree=2)

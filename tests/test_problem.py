@@ -160,6 +160,15 @@ class TestManufacturedClosedForms:
 
 
 class TestProblemValidation:
+    def test_eps_must_lie_in_0_1(self):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\], got 0.0"):
+            Problem(
+                eps=0.0,
+                coeff_b=lambda x: np.ones_like(x),
+                coeff_c=lambda x: np.ones_like(x),
+                rhs_f=lambda x: np.zeros_like(x),
+            )
+
     def test_b_must_be_positive(self):
         with pytest.raises(ValueError):
             Problem(
@@ -256,10 +265,6 @@ class TestGammaEstimate:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
-
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_estimate(make_test_problem(1e-8, 0.25), grid_size=100)
 
     def test_noncoercive_problem_raises(self):
         with pytest.raises(ValueError, match="coercivity"):
