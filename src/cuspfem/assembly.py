@@ -97,13 +97,12 @@ def compute_deltas(
         return StabilizationProfile(deltas, np.zeros(h.size, dtype=bool))
     if problem is None or k is None:
         raise ValueError("theorem-capped policy needs problem and k")
-    cap = np.full(h.size, problem.delta_cap)
     if k >= 2:
         c_inv = estimate_c_inv(k)
-        cap = np.minimum(cap, h * h / (2.0 * eps * c_inv * c_inv))
+        cap = h * h / (2.0 * eps * c_inv * c_inv)
     else:
-        cap = np.minimum(cap, np.minimum(h * h / eps, (mesh.big_k + 1) / mesh.params.n_half))
-    capped = np.minimum(deltas, cap)
+        cap = np.minimum(h * h / eps, (mesh.big_k + 1) / mesh.params.n_half)
+    capped = np.minimum(deltas, np.minimum(cap, problem.delta_cap))
     return StabilizationProfile(capped, capped < deltas)
 
 
@@ -280,33 +279,28 @@ def _add_local(vec: np.ndarray, loc: np.ndarray, span: slice, k: int) -> None:
 
 def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> None:
     """Add the block's elements into the full-mesh bands and rhs."""
-    q, h, e0 = tables.rule.points.size, block.lengths, block.span.start
+    h, e0 = block.lengths, block.span.start
     aq, cq, fq = _block_samples(problem, block, tables.rule.points, load=True)
-    w = tables.rule.weights[:, None]
-    eps = problem.eps
+    w, eps = tables.rule.weights[:, None], problem.eps
 
-    # per-point weights, stacked in the order of the matrix table's columns
-    # (Galerkin takes the first 2q)
-    terms = 2 * q if deltas is None else tables.matrix.shape[1]
-    weights = np.empty((terms, h.size))
-    np.multiply(w, aq, out=weights[:q])
-    np.multiply(w * h, cq, out=weights[q : 2 * q])
-    load_weights = np.empty((q if deltas is None else 2 * q, h.size))
-    np.multiply(w * h, fq, out=load_weights[:q])
+    # per-point weights, q rows a term, in the order of the matrix table's
+    # columns (Galerkin takes the first two terms)
+    weights = [w * aq, w * h * cq]
+    load = [w * h * fq]
     if deltas is not None:
-        dwa = weights[:q] * (deltas[block.span] / h)  # delta w a / h
-        np.multiply(dwa, aq, out=weights[2 * q : 3 * q])
-        np.multiply(dwa, h * cq, out=weights[3 * q : 4 * q])
+        dwa = weights[0] * (deltas[block.span] / h)  # delta w a / h
+        weights += [dwa * aq, dwa * (h * cq)]
         if k >= 2:  # -eps v'' vanishes identically for k = 1
-            np.multiply(dwa, -eps / h, out=weights[4 * q :])
-        np.multiply(dwa, h * fq, out=load_weights[q:])
+            weights.append(dwa * (-eps / h))
+        load.append(dwa * (h * fq))
     # one product for all terms but diffusion, which is added afterwards as
     # (eps/h) S_ref: summed into the product it rounds each small term
     # against the large diffusion entry, and the unrefined error at eps
     # 1e-6, k 8, N 16384 rose from 7.2e-8 to 9.4e-7
-    loc = (tables.matrix[:, :terms] @ weights).reshape(k + 1, k + 1, h.size)
+    weights, load = np.vstack(weights), np.vstack(load)
+    loc = (tables.matrix[:, : len(weights)] @ weights).reshape(k + 1, k + 1, h.size)
     loc += tables.s_ref[:, :, None] * (eps / h)
-    rhs_loc = tables.load[:, : load_weights.shape[0]] @ load_weights
+    rhs_loc = tables.load[:, : len(load)] @ load
 
     # element e's local column jj is global column e*k + jj, and its local
     # row ii sits on band row k + ii - jj; every entry takes at most two
@@ -392,7 +386,7 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
     k, problem, deltas, mesh = system.order, system.problem, system.deltas, system.mesh
     tables = _element_tables(k, system.family, system.quad_points or k + 3)
     V, D1, D2 = tables.V, tables.D1, tables.D2
-    q, eps, w = V.shape[1], problem.eps, tables.rule.weights[:, None]
+    eps, w = problem.eps, tables.rule.weights[:, None]
     ax = np.zeros(coeffs.size)
     for block in _blocks(mesh, coeffs, k):
         h, u = block.lengths, block.local
@@ -400,14 +394,12 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
         du = u[1:] - u[:1]
         dv = (D1[1:].T @ du) / h  # v' at the points, (q, nel_b)
         strong = aq * dv + cq * (V.T @ u)
-        weights = np.empty((2 * q, h.size))
-        np.multiply(w * h, strong, out=weights[:q])  # pairs with V
-        np.multiply(w * eps, dv, out=weights[q:])  # pairs with D1
+        with_v, with_d1 = w * h * strong, w * eps * dv
         if deltas is not None:
             if k >= 2:
                 strong -= eps * (D2[1:].T @ du) / (h * h)
-            weights[q:] += w * (deltas[block.span] * aq) * strong
-        _add_local(ax, tables.load @ weights, block.span, k)
+            with_d1 += w * (deltas[block.span] * aq) * strong
+        _add_local(ax, tables.load @ np.vstack([with_v, with_d1]), block.span, k)
     # the two boundary entries collect rows that Dirichlet elimination drops
     r = ax[1:-1]
     np.subtract(system.rhs, r, out=r)
@@ -440,12 +432,14 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     lu, piv, _, info = lapack.dgbsv(k, k, ab, sol, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise SolverError("banded LU failed: singular matrix")
+    if not np.all(np.isfinite(sol)):
+        raise SolverError("banded LU produced non-finite values (singular system?)")
     step = _element_residual(system, coeffs)
     lapack.dgbtrs(lu, k, k, step, piv, overwrite_b=1)
     sol += step
     del ab, lu, piv, step  # freed before the contract's temporaries
     if not np.all(np.isfinite(sol)):
-        raise SolverError("banded LU produced non-finite values (singular system?)")
+        raise SolverError("the refinement step produced non-finite values")
     res = apply_system(system, sol)
     res -= rhs
     res = np.max(np.abs(res, out=res))

@@ -68,14 +68,11 @@ class ReferenceBasis:
     def __post_init__(self):
         nodes = reference_nodes(self.order, self.family)
         w = _barycentric_weights(nodes)
-        # differentiation matrix: D[i, j] = phi_j'(t_i)
-        n = self.order + 1
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    D[i, j] = (w[j] / w[i]) / (nodes[i] - nodes[j])
-            D[i, i] = -np.sum(D[i, :])
+        # D[i, j] = phi_j'(t_i): (w_j / w_i) / (t_i - t_j), minus the row sum on the diagonal
+        diff = nodes[:, None] - nodes[None, :]
+        np.fill_diagonal(diff, np.inf)
+        D = (w[None, :] / w[:, None]) / diff
+        np.fill_diagonal(D, -np.sum(D, axis=1))
         for name, val in (("nodes", nodes), ("_bary_w", w), ("_diff", D)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)

@@ -15,6 +15,7 @@ from cuspfem import (
     make_test_problem,
 )
 from cuspfem.assembly import BLOCK_ELEMENTS, _ref_basis
+from cuspfem.basis import _barycentric_weights, reference_nodes
 from cuspfem.norms import _panel_counts
 
 
@@ -101,6 +102,20 @@ def starve_assembly(monkeypatch, max_columns: int = 0) -> None:
         block(problem, blk, k, tables, deltas, bands, rhs)
 
     monkeypatch.setattr(cuspfem.assembly, "_assemble_block", starved)
+
+
+def loop_diff_matrix(k: int, family: str) -> np.ndarray:
+    """Nodal differentiation matrix entry by entry: D[i, j] = (w_j / w_i) /
+    (t_i - t_j) off the diagonal, then minus the row sum on it."""
+    nodes = reference_nodes(k, family)
+    w = _barycentric_weights(nodes)
+    D = np.zeros((k + 1, k + 1))
+    for i in range(k + 1):
+        for j in range(k + 1):
+            if i != j:
+                D[i, j] = (w[j] / w[i]) / (nodes[i] - nodes[j])
+        D[i, i] = -np.sum(D[i, :])
+    return D
 
 
 def zero_stab(mesh) -> StabilizationProfile:

@@ -36,6 +36,7 @@ from cuspfem import (
     build_mesh,
     compute_deltas,
     error_norms,
+    estimate_c_inv,
     interpolate,
     make_test_problem,
     sd_distance,
@@ -97,6 +98,23 @@ class TestComputeDeltas:
         stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=2)
         h = mesh.lengths
         assert np.all(stab.deltas <= h * h / (2.0 * eps * 12.0) * (1 + 1e-12))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10])
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_theorem_caps_are_the_exact_minimum(self, k, eps):
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 64, k, 0.25))
+        stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
+        h = mesh.lengths
+        if k == 1:
+            cap = np.minimum(h * h / eps, (mesh.big_k + 1) / 64)
+        else:
+            c_inv = estimate_c_inv(k)
+            cap = h * h / (2.0 * eps * c_inv * c_inv)
+        standard = compute_deltas(mesh, eps).deltas
+        expected = np.minimum(np.minimum(standard, prob.delta_cap), cap)
+        assert np.array_equal(stab.deltas, expected)
+        assert np.array_equal(stab.caps_applied, expected < standard)
 
     def test_cap_constant_kept_per_problem_object(self):
         # an unhashable evaluator is fine, and the constant goes with its Problem
@@ -351,7 +369,17 @@ class TestSolver:
         bands = np.zeros((2 * k + 1, n), order="F")
         bands[k] = 1e-300
         system = LinearSystem(bands, np.full(n, 1e10), mesh, k, "uniform", prob)
-        with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="non-finite values"):
+        with pytest.raises(SolverError, match="banded LU produced non-finite values"):
+            solve_banded(system)
+
+    def test_non_finite_refinement_step_is_a_solver_error(self, monkeypatch):
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 8, 2, 0.25))
+        system = assemble_galerkin(prob, mesh, 2)
+        monkeypatch.setattr(
+            "cuspfem.assembly._element_residual", lambda s, c: np.full(s.dimension, np.nan)
+        )
+        with pytest.raises(SolverError, match="the refinement step produced non-finite values"):
             solve_banded(system)
 
     @pytest.mark.parametrize("method", ["galerkin", "sdfem"])

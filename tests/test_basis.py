@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import loop_diff_matrix
 
 from cuspfem import ReferenceBasis, estimate_c_inv, gauss_rule, reference_nodes
 
@@ -63,6 +64,11 @@ class TestEvalBasis:
         # quadratic bump 4t(1-t) at t = 0.25
         vals = ReferenceBasis(2).tables(0.25)[0][:, 0]
         assert vals[1] == pytest.approx(0.75, abs=1e-14)
+
+    @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_diff_matrix_matches_entrywise_formula(self, k, family):
+        assert np.array_equal(ReferenceBasis(k, family)._diff, loop_diff_matrix(k, family))
 
     @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
     @pytest.mark.parametrize("k", [1, 2, 4, 6, 8])
