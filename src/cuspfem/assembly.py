@@ -176,7 +176,7 @@ class DiscreteFunction:
         tab = _ref_basis(k, self.family).tables(t)[d]  # (k+1, npts)
         vals = np.sum(_windows(self.coefficients, k)[e] * tab.T, axis=1)
         # [()] makes a scalar of the 0-d result for a scalar x
-        return (vals / h[e] ** d if d else vals).reshape(shape)[()]
+        return (vals / h[e] ** d).reshape(shape)[()]
 
     __call__ = evaluate
 
@@ -201,9 +201,9 @@ class _ElementTables(NamedTuple):
     D2: np.ndarray
     s_ref: np.ndarray  # D1 diag(w) D1^T, the diffusion block up to eps/h
     load: np.ndarray  # [V | D1], (k+1, 2m): per-point weights to local vectors
-    # ((k+1)^2, 4m or 5m), row i*(k+1) + j for test function i and trial function
+    # ((k+1)^2, 5m), row i*(k+1) + j for test function i and trial function
     # j: m columns each of V_i D1_j and V_i V_j (Galerkin), then D1_i D1_j,
-    # D1_i V_j and, for k >= 2, D1_i D2_j (SDFEM)
+    # D1_i V_j and D1_i D2_j (SDFEM); D1_i D2_j is zero at k = 1
     matrix: np.ndarray
 
 
@@ -213,7 +213,7 @@ def _element_tables(k: int, family: str, q: int, panels: int = 1) -> _ElementTab
     points = ((np.arange(panels)[:, None] + gauss.points[None, :]) / panels).ravel()
     rule = QuadratureRule(points, np.tile(gauss.weights / panels, panels))
     V, D1, D2 = _ref_basis(k, family).tables(points)
-    pairs = [(V, D1), (V, V), (D1, D1), (D1, V)] + ([(D1, D2)] if k >= 2 else [])
+    pairs = [(V, D1), (V, V), (D1, D1), (D1, V), (D1, D2)]
     products = [(T[:, None, :] * S[None, :, :]).reshape(-1, points.size) for T, S in pairs]
     tables = _ElementTables(
         rule, V, D1, D2, (D1 * rule.weights) @ D1.T, np.hstack([V, D1]), np.hstack(products)
@@ -289,9 +289,7 @@ def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> None:
     load = [w * h * fq]
     if deltas is not None:
         dwa = weights[0] * (deltas[block.span] / h)  # delta w a / h
-        weights += [dwa * aq, dwa * (h * cq)]
-        if k >= 2:  # -eps v'' vanishes identically for k = 1
-            weights.append(dwa * (-eps / h))
+        weights += [dwa * aq, dwa * (h * cq), dwa * (-eps / h)]
         load.append(dwa * (h * fq))
     # one product for all terms but diffusion, which is added afterwards as
     # (eps/h) S_ref: summed into the product it rounds each small term
@@ -320,8 +318,6 @@ def _assemble(
 ) -> LinearSystem:
     if quad_points < k + 1:
         raise ValueError(f"need quad_points >= k+1 = {k + 1}, got {quad_points}")
-    if deltas is not None and not np.any(deltas != 0.0):
-        deltas = None
     tables = _element_tables(k, family, quad_points)
     nel = mesh.n_intervals
     bands = np.zeros((2 * k + 1, nel * k + 1), order="F")
@@ -396,7 +392,7 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
         strong = aq * dv + cq * (V.T @ u)
         with_v, with_d1 = w * h * strong, w * eps * dv
         if deltas is not None:
-            if k >= 2:
+            if k >= 2:  # D2 is zero at k = 1, and this product is 15-25 % of the pass
                 strong -= eps * (D2[1:].T @ du) / (h * h)
             with_d1 += w * (deltas[block.span] * aq) * strong
         _add_local(ax, tables.load @ np.vstack([with_v, with_d1]), block.span, k)
@@ -443,6 +439,8 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     res = apply_system(system, sol)
     res -= rhs
     res = np.max(np.abs(res, out=res))
+    if not np.isfinite(res):
+        raise SolverError(f"residual contract violated: max |Ax - b| = {res} is not finite")
     scale = norm_a * np.max(np.abs(sol), initial=0.0) + norm_b
     rel = res / scale if scale else 0.0
     if rel > RESIDUAL_TOL:

@@ -35,7 +35,7 @@ def reference_nodes(k: int, family: str = "uniform") -> np.ndarray:
     if not 1 <= k <= 8:
         raise ValueError(f"polynomial order must be in 1..8, got {k}")
     _check_family(family)
-    if family == "uniform" or k == 1:
+    if family == "uniform":
         return np.linspace(0.0, 1.0, k + 1)
     inner = np.polynomial.legendre.Legendre.basis(k).deriv().roots()
     nodes = np.concatenate(([-1.0], np.sort(inner.real), [1.0]))
@@ -91,8 +91,7 @@ class ReferenceBasis:
         with np.errstate(divide="ignore", invalid="ignore"):
             r = self._bary_w[:, None] / d             # (n, nt)
             V[:, ~hit] = r[:, ~hit] / np.sum(r[:, ~hit], axis=0)
-        if np.any(hit):
-            V[:, hit] = exact[:, hit]
+        V[:, hit] = exact[:, hit]
         D1 = self._diff.T @ V
         D2 = (self._diff @ self._diff).T @ V
         return V, D1, D2
@@ -132,8 +131,6 @@ def estimate_c_inv(k: int) -> float:
     k = int(k)
     if k < 1:
         raise ValueError(f"polynomial order must be >= 1, got {k}")
-    if k == 1:
-        return 0.0
     m = np.arange(1, k + 1, dtype=float)
     # int_0^1 p'' q'' dt and int_0^1 p' q' dt as quadratic forms
     A = np.zeros((k, k))

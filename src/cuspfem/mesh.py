@@ -130,13 +130,9 @@ def build_mesh(params: MeshParams) -> Mesh:
         )
     bounds = _decade_bounds(big_k)
     parts = _decade_parts(n, big_k)
-    half = [np.array([0.0])]
-    for d in range(big_k + 1):
-        lo, hi, m = bounds[d], bounds[d + 1], parts[d]
-        # keep decade endpoints exactly at powers of ten
-        half.append(lo + np.arange(1, m) * ((hi - lo) / m))
-        half.append(np.array([hi]))
-    right = np.concatenate(half)
+    steps = np.diff(bounds) / parts
+    # lo + 0 * step is lo, so every decade starts exactly at its power of ten
+    right = np.hstack([lo + np.arange(m) * s for lo, s, m in zip(bounds, steps, parts)] + [1.0])
     nodes = np.concatenate((-right[:0:-1], right))
     return Mesh(params, sigma, branch, big_k, nodes, np.diff(nodes))
 

@@ -16,6 +16,7 @@ from cuspfem import (
 )
 from cuspfem.assembly import BLOCK_ELEMENTS, _ref_basis
 from cuspfem.basis import _barycentric_weights, reference_nodes
+from cuspfem.mesh import _decade_bounds, _decade_parts, compute_big_k, compute_sigma
 from cuspfem.norms import _panel_counts
 
 
@@ -116,6 +117,22 @@ def loop_diff_matrix(k: int, family: str) -> np.ndarray:
                 D[i, j] = (w[j] / w[i]) / (nodes[i] - nodes[j])
         D[i, i] = -np.sum(D[i, :])
     return D
+
+
+def loop_mesh_nodes(params) -> np.ndarray:
+    """Mesh nodes decade by decade: 0, then each decade's inner nodes
+    lo + j (hi - lo) / m for j = 1 .. m-1 and its end point hi, mirrored
+    across 0.  `build_mesh` placed its nodes this way before each decade
+    became one arange from its start."""
+    big_k = compute_big_k(compute_sigma(params).value)
+    bounds, parts = _decade_bounds(big_k), _decade_parts(params.n_half, big_k)
+    half = [np.array([0.0])]
+    for d in range(big_k + 1):
+        lo, hi, m = bounds[d], bounds[d + 1], parts[d]
+        half.append(lo + np.arange(1, m) * ((hi - lo) / m))
+        half.append(np.array([hi]))
+    right = np.concatenate(half)
+    return np.concatenate((-right[:0:-1], right))
 
 
 def zero_stab(mesh) -> StabilizationProfile:
@@ -245,8 +262,8 @@ def reference_assembly(problem: Problem, mesh, k: int, family: str, deltas=None)
     """
     Bands and rhs of the Galerkin (deltas None) or SDFEM system in the
     assembly's arithmetic: one product of the reference tables V_i D1_j and
-    V_i V_j (for SDFEM also D1_i D1_j, D1_i V_j and, for k >= 2,
-    D1_i D2_j), stacked along the Gauss points, with the matching
+    V_i V_j (for SDFEM also D1_i D1_j, D1_i V_j and D1_i D2_j, which is
+    zero at k = 1), stacked along the Gauss points, with the matching
     per-point weights; then (eps/h) S_ref with S_ref = D1 diag(w) D1^T
     added for diffusion.  The load is one product of V (for SDFEM
     [V | D1]) with its weights.  BLAS may round a product's columns
@@ -263,13 +280,10 @@ def reference_assembly(problem: Problem, mesh, k: int, family: str, deltas=None)
     pairs = [(V, D1), (V, V)]
     weights = [w * aq, (w * h) * cq]
     load_tables, load_weights = [V], [(w * h) * fq]
-    if deltas is not None and np.any(deltas != 0.0):
+    if deltas is not None:
         dwa = weights[0] * (deltas / h)
-        pairs += [(D1, D1), (D1, V)]
-        weights += [dwa * aq, dwa * (h * cq)]
-        if k >= 2:
-            pairs.append((D1, D2))
-            weights.append(dwa * (-eps / h))
+        pairs += [(D1, D1), (D1, V), (D1, D2)]
+        weights += [dwa * aq, dwa * (h * cq), dwa * (-eps / h)]
         load_tables.append(D1)
         load_weights.append(dwa * (h * fq))
     table = np.hstack([(T[:, None, :] * S[None, :, :]).reshape(-1, q) for T, S in pairs])

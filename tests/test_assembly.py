@@ -42,7 +42,7 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
-from cuspfem.assembly import BLOCK_ELEMENTS
+from cuspfem.assembly import BLOCK_ELEMENTS, _element_tables
 
 
 def zero_function(mesh, k, family="uniform"):
@@ -290,13 +290,33 @@ class TestPolynomialReproduction:
         rep = error_norms(fn, prob, mesh)
         assert rep.energy <= 1e-10
 
-    def test_zero_deltas_reduce_to_galerkin_bitwise(self):
-        prob = make_test_problem(1e-8, 0.25)
-        mesh = build_mesh(MeshParams(1e-8, 64, 2, 0.25))
-        plain = assemble_galerkin(prob, mesh, 2)
-        stabbed = assemble_sdfem(prob, mesh, 2, stab=zero_stab(mesh))
-        assert plain.bands.tobytes() == stabbed.bands.tobytes()
-        assert plain.rhs.tobytes() == stabbed.rhs.tobytes()
+    @pytest.mark.parametrize("n_half", [64, 1100])  # 1100: full blocks and a partial one
+    @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_zero_deltas_reduce_to_galerkin_bitwise(self, k, family, n_half):
+        # zero deltas take the SD path, whose zero weights add nothing
+        for eps in (1.0, 1e-3, 1e-8):
+            prob = make_test_problem(eps, 0.25)
+            mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+            plain = assemble_galerkin(prob, mesh, k, family)
+            stabbed = assemble_sdfem(prob, mesh, k, family, stab=zero_stab(mesh))
+            assert plain.bands.tobytes() == stabbed.bands.tobytes()
+            assert plain.rhs.tobytes() == stabbed.rhs.tobytes()
+            a, b = solve_banded(plain), solve_banded(stabbed)
+            assert a.coefficients.tobytes() == b.coefficients.tobytes()
+            assert a.residual == b.residual
+
+    @pytest.mark.parametrize("panels", [1, 8])
+    @pytest.mark.parametrize("family", ["uniform", "gauss-lobatto"])
+    def test_k1_second_derivatives_are_positive_zero(self, family, panels):
+        # so at k = 1 the D1_i D2_j columns of the SD form are zero, and the
+        # -eps v'' term of the refinement residual may be skipped
+        for q in range(2, 13):
+            tables = _element_tables(1, family, q, panels)
+            m = tables.rule.points.size
+            assert tables.D2.shape == (2, m) and tables.matrix.shape == (4, 5 * m)
+            assert not np.any(tables.D2) and not np.any(np.signbit(tables.D2))
+            assert not np.any(tables.matrix[:, 4 * m :])
 
     def test_k1_families_identical(self):
         prob = make_test_problem(1e-8, 0.25)
@@ -380,6 +400,21 @@ class TestSolver:
             "cuspfem.assembly._element_residual", lambda s, c: np.full(s.dimension, np.nan)
         )
         with pytest.raises(SolverError, match="the refinement step produced non-finite values"):
+            solve_banded(system)
+
+    def test_non_finite_residual_misses_the_contract(self, monkeypatch):
+        # A = tridiag(-1, 3, -2) and x = [1, X, X] give b = [3 - 2X, X - 1, 2X]:
+        # x and b are finite, but A x forms 3X, which overflows, so the
+        # relative residual would be inf / inf = nan, and nan > tol is False
+        X = 6e307
+        prob = make_test_problem(1e-6, 0.25)
+        mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
+        bands = np.asfortranarray([[0.0, -2.0, -2.0], [3.0, 3.0, 3.0], [-1.0, -1.0, 0.0]])
+        system = LinearSystem(bands, np.array([3 - 2 * X, X - 1, 2 * X]), mesh, 1, "uniform", prob)
+        monkeypatch.setattr(
+            "cuspfem.assembly._element_residual", lambda s, c: np.zeros(s.dimension)
+        )
+        with pytest.raises(SolverError, match="residual contract violated: .* not finite"):
             solve_banded(system)
 
     @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
@@ -570,6 +605,14 @@ class TestWorkingMemory:
                 system, peak = traced_peak(assemble, prob, mesh, k, **kwargs)
                 extra.append(peak - system.bands.nbytes - system.rhs.nbytes)
             assert extra[1] <= extra[0] + 64 * 1024
+
+    def test_mesh_peak_is_near_its_output(self):
+        # nodes and lengths are 16 bytes an interval; the decades go straight
+        # into one array, which the mirrored nodes and the lengths outlive
+        n_half = 65536
+        mesh, peak = traced_peak(build_mesh, MeshParams(1e-10, n_half, 1, 0.25))
+        assert mesh.nodes.nbytes + mesh.lengths.nbytes <= 16 * 2 * n_half + 16
+        assert peak <= 22 * 2 * n_half
 
     @pytest.mark.parametrize("k", [1, 8])
     def test_error_norms_memory_does_not_grow_with_n(self, k):

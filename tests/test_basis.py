@@ -127,7 +127,8 @@ class TestGaussRule:
 
 class TestInverseEstimate:
     def test_k1_zero(self):
-        assert estimate_c_inv(1) == 0.0
+        # the 1 x 1 eigenproblem 0 = lambda * 1 gives +0.0
+        assert math.copysign(1.0, estimate_c_inv(1)) == 1.0 and estimate_c_inv(1) == 0.0
 
     def test_k2_closed_form(self):
         assert estimate_c_inv(2) == pytest.approx(math.sqrt(12.0), rel=1e-10)

@@ -6,6 +6,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from helpers import loop_mesh_nodes
 
 from cuspfem import (
     Mesh,
@@ -164,6 +165,20 @@ class TestBuildMesh:
         with pytest.raises(ValueError, match=r"lambda must lie in \[0, k \+ 1\] = \[0, 2\], got 2.5"):
             MeshParams(1.0, 8, 1, 2.5)
         MeshParams(1.0, 8, 1, 2.0)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_nodes_match_the_decade_loop(self, k):
+        # K + 1 does not divide 7, 100 or 513 for most K, so the decades'
+        # part counts differ; a mesh too coarse for its K is skipped
+        for eps in 10.0 ** -np.arange(15.0):
+            for lam in (0.005, 0.25, 1.0, 2.0):
+                for n_half in (7, 100, 513, 1024):
+                    params = MeshParams(eps, n_half, k, lam)
+                    try:
+                        nodes = build_mesh(params).nodes
+                    except MeshConstructionError:
+                        continue
+                    assert np.array_equal(nodes, loop_mesh_nodes(params)), params
 
 
 def _moved(mesh: Mesh, i: int, x: float) -> Mesh:
