@@ -13,12 +13,16 @@ tables with stacked per-point weights, plus (eps/h) S_ref for diffusion.
 The band matrix only preconditions the solve.  Its entries carry rounding
 that, for k >= 4 at large N, left the plain LU solution up to 2.4e5 times
 the interpolant's error.  So banded LU with partial pivoting (convection
-dominance can destroy diagonal dominance; LAPACK dgbsv on one
-Fortran-ordered copy of the bands) is followed by one step of
-fixed-precision iterative refinement: its residual applies the element
-operator block by block, with derivatives taken from each element's nodal
-values minus its first, and its correction reuses the LU factors.  The
-residual contract's ||A||_inf (dlangb) and A x (dgbmv) read the bands in place.
+dominance can destroy diagonal dominance; LAPACK dgbsv) is followed by one
+step of fixed-precision iterative refinement: its residual applies the
+element operator block by block, with derivatives taken from each
+element's nodal values minus its first, and its correction reuses the LU
+factors.  Below k = IN_PLACE_ORDER the LU works on a Fortran-ordered copy
+of the bands, and the residual contract measures A x - b with the band
+matrix (dgbmv).  From IN_PLACE_ORDER on, assembly writes the bands into
+LAPACK's (3k+1, n) LU storage, the LU overwrites them (the solve consumes
+the system), and the contract measures b - A_elem x with the element
+operator.  ||A||_inf (dlangb) and dgbmv read the bands where they lie.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ RESIDUAL_TOL = 1e-10
 # elements per block (assembly, residual, norms); at k = 8 its local
 # matrices take 0.7 MB, and 1024 measured fastest at N = 32768 among 128 .. 2048
 BLOCK_ELEMENTS = 1024
+
+# order k from which assembly lays the bands out in LAPACK's LU storage and
+# solve_banded factors them in place (see solve_banded); from k = 5 on, the
+# element residual that then replaces dgbmv in the contract measured no
+# dearer than the band copy, dlangb and dgbmv that it saves, and below dearer
+IN_PLACE_ORDER = 5
 
 
 class AssemblyError(RuntimeError):
@@ -91,19 +101,27 @@ def compute_deltas(
         raise ValueError(f"c0 must be positive and finite, got {c0}")
     if policy not in DELTA_POLICIES:
         raise ValueError(f"unknown delta policy {policy!r}; expected one of {DELTA_POLICIES}")
+    # each formula's operations in its order, in place: one array of
+    # working memory beyond the output
     h = mesh.lengths
-    deltas = c0 * np.minimum(h * h / eps, h)
+    deltas = h * h
+    deltas /= eps
+    np.minimum(deltas, h, out=deltas)
+    deltas *= c0
     if policy == "standard":
         return StabilizationProfile(deltas, np.zeros(h.size, dtype=bool))
     if problem is None or k is None:
         raise ValueError("theorem-capped policy needs problem and k")
+    cap = h * h
     if k >= 2:
         c_inv = estimate_c_inv(k)
-        cap = h * h / (2.0 * eps * c_inv * c_inv)
+        cap /= 2.0 * eps * c_inv * c_inv
     else:
-        cap = np.minimum(h * h / eps, (mesh.big_k + 1) / mesh.params.n_half)
-    capped = np.minimum(deltas, np.minimum(cap, problem.delta_cap))
-    return StabilizationProfile(capped, capped < deltas)
+        cap /= eps
+        np.minimum(cap, (mesh.big_k + 1) / mesh.params.n_half, out=cap)
+    np.minimum(cap, problem.delta_cap, out=cap)
+    np.minimum(deltas, cap, out=cap)
+    return StabilizationProfile(cap, cap < deltas)
 
 
 def _check_profile(stab: StabilizationProfile, mesh: Mesh) -> None:
@@ -115,8 +133,12 @@ def _check_profile(stab: StabilizationProfile, mesh: Mesh) -> None:
 class LinearSystem:
     """
     Banded system after Dirichlet elimination: dimension 2Nk-1, half-bandwidth k.
-    `bands` is LAPACK band storage, bands[k + i - j, j] = A[i, j], in Fortran
-    order from assembly; other layouts work, but each BLAS/LAPACK call copies them.
+    `bands` is LAPACK band storage, bands[k + i - j, j] = A[i, j], (2k+1, n).
+    Assembly returns it Fortran-ordered below k = IN_PLACE_ORDER, and from
+    IN_PLACE_ORDER on as the last 2k+1 rows of LAPACK's Fortran-ordered
+    (3k+1, n) LU storage, which `solve_banded` factors in place: solving
+    such a system consumes it, and its bands then hold LU factors.  Other
+    layouts work, but each BLAS/LAPACK call copies them.
     `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
     (None for Galerkin) define the element operator that `solve_banded`'s
     refinement step applies.
@@ -320,14 +342,17 @@ def _assemble(
         raise ValueError(f"need quad_points >= k+1 = {k + 1}, got {quad_points}")
     tables = _element_tables(k, family, quad_points)
     nel = mesh.n_intervals
-    bands = np.zeros((2 * k + 1, nel * k + 1), order="F")
+    # from IN_PLACE_ORDER on, LAPACK's LU storage, which solve_banded
+    # factors in place: k zero rows for the fill-in above the bands
+    rows = 3 * k + 1 if k >= IN_PLACE_ORDER else 2 * k + 1
+    bands = np.zeros((rows, nel * k + 1), order="F")[-(2 * k + 1) :]
     rhs = np.zeros(nel * k + 1)
     for block in _blocks(mesh):
         _assemble_block(problem, block, k, tables, deltas, bands, rhs)
 
     # homogeneous Dirichlet: drop first and last row/column; in diagonal
-    # ordered storage that is a column slice (still Fortran-contiguous); the
-    # slots of eliminated rows keep their values, and no reader looks there
+    # ordered storage that is a column slice; the slots of eliminated rows
+    # keep their values, and no reader looks there
     return LinearSystem(
         bands[:, 1:-1], rhs[1:-1], mesh, k, family, problem, quad_points, deltas
     )
@@ -362,12 +387,34 @@ def assemble_sdfem(
     return _assemble(problem, mesh, k, family, quad_points or k + 3, stab.deltas)
 
 
+def _band_storage(system: LinearSystem) -> tuple[np.ndarray, int]:
+    """
+    The array and upper bandwidth that BLAS and LAPACK read as the band
+    matrix without a copy: assembly's (3k+1, n) LU storage with ku = 2k (its
+    k fill rows are zero until the solve) when `bands` are its last 2k+1
+    rows, else the bands with ku = k.  Storage that solve_banded has
+    factored is read-only and a ValueError here.
+    """
+    k, bands = system.order, system.bands
+    base = bands.base
+    if isinstance(base, np.ndarray) and base.shape == (3 * k + 1, bands.shape[1] + 2):
+        storage = base[:, 1:-1]
+        view = storage[k:]
+        if (view.ctypes.data, view.strides) == (bands.ctypes.data, bands.strides):
+            if not storage.flags.writeable:
+                raise ValueError("solve_banded consumed this system: its bands hold LU factors")
+            return storage, 2 * k
+    return bands, k
+
+
 def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with the eliminated (interior) matrix (BLAS dgbmv)."""
+    """Matrix-vector product with the eliminated (interior) matrix (BLAS dgbmv
+    on `_band_storage`); a system that solve_banded consumed is a ValueError."""
     n, k, x = system.dimension, system.order, np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x has shape {x.shape}; the system needs {n} entries")
-    return blas.dgbmv(n, n, k, k, 1.0, system.bands, x)
+    ab, ku = _band_storage(system)
+    return blas.dgbmv(n, n, k, ku, 1.0, ab, x)
 
 
 def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
@@ -408,24 +455,38 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     step of fixed-precision iterative refinement whose residual applies
     the element operator (`_element_residual`) and whose correction
     reuses the LU factors (dgbtrs).  Then verify the residual contract
-    ||Ax - b|| / (||A|| ||x|| + ||b||) <= 1e-10 (inf norms, A the band
-    matrix) at the refined x; the achieved residual is recorded on the
-    returned function.
+    ||r|| / (||A|| ||x|| + ||b||) <= 1e-10 (inf norms, A the band matrix)
+    at the refined x; the achieved value is recorded on the returned
+    function.
+
+    Below IN_PLACE_ORDER the LU works on a copy of the bands and r is
+    A x - b for the band matrix (dgbmv).  From IN_PLACE_ORDER on, assembly
+    lays the bands out in LAPACK's LU storage and the LU overwrites them:
+    the solve consumes the system, whose bands then hold LU factors, and
+    a second solve_banded or apply_system on it is a ValueError.  There r
+    is b - A_elem x for the element operator, as the refinement step
+    forms it.  A LinearSystem built from bands held any other way keeps
+    the copy.
     """
-    k, n, bands, rhs = system.order, system.dimension, system.bands, system.rhs
-    norm_a = lapack.dlangb("I", k, k, bands)
+    k, n, rhs = system.order, system.dimension, system.rhs
+    ab, ku = _band_storage(system)
+    in_place = ku == 2 * k
+    norm_a = lapack.dlangb("I", k, ku, ab)
     norm_b = np.max(np.abs(rhs), initial=0.0)
     if not (np.isfinite(norm_a) and np.isfinite(norm_b)):
         raise SolverError("banded LU failed: array must not contain infs or NaNs")
-    # dgbsv (banded LU with partial pivoting) on one Fortran-ordered copy of
-    # the bands, k extra rows for the fill-in, and in place on the interior
-    # of the nodal coefficients, whose boundary entries stay 0
-    ab = np.zeros((3 * k + 1, n), order="F")
-    ab[k:] = bands
+    if not in_place:  # k extra rows for the fill-in
+        ab = np.zeros((3 * k + 1, n), order="F")
+        ab[k:] = system.bands
+    # dgbsv (banded LU with partial pivoting) on Fortran-ordered storage,
+    # and in place on the interior of the nodal coefficients, whose
+    # boundary entries stay 0
     coeffs = np.zeros(n + 2)
     sol = coeffs[1:-1]
     sol[:] = rhs
     lu, piv, _, info = lapack.dgbsv(k, k, ab, sol, overwrite_ab=1, overwrite_b=1)
+    if in_place:
+        ab.base.setflags(write=False)
     if info > 0:
         raise SolverError("banded LU failed: singular matrix")
     if not np.all(np.isfinite(sol)):
@@ -436,13 +497,19 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     del ab, lu, piv, step  # freed before the contract's temporaries
     if not np.all(np.isfinite(sol)):
         raise SolverError("the refinement step produced non-finite values")
-    res = apply_system(system, sol)
-    res -= rhs
+    if in_place:
+        res = _element_residual(system, coeffs)
+    else:
+        res = apply_system(system, sol)
+        res -= rhs
     res = np.max(np.abs(res, out=res))
     if not np.isfinite(res):
         raise SolverError(f"residual contract violated: max |Ax - b| = {res} is not finite")
-    scale = norm_a * np.max(np.abs(sol), initial=0.0) + norm_b
-    rel = res / scale if scale else 0.0
+    # ||A|| ||x|| + ||b|| can overflow where the ratio cannot, so both
+    # terms are divided by the larger of ||x|| and ||b|| first
+    x_max = np.max(np.abs(sol), initial=0.0)
+    scale = max(x_max, norm_b)
+    rel = res / scale / (norm_a * (x_max / scale) + norm_b / scale) if scale else 0.0
     if rel > RESIDUAL_TOL:
         raise SolverError(
             f"residual contract violated: relative residual {rel:.3e} > {RESIDUAL_TOL}; "

@@ -42,7 +42,13 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
-from cuspfem.assembly import BLOCK_ELEMENTS, _element_tables
+from cuspfem.assembly import (
+    BLOCK_ELEMENTS,
+    IN_PLACE_ORDER,
+    _band_storage,
+    _element_residual,
+    _element_tables,
+)
 
 
 def zero_function(mesh, k, family="uniform"):
@@ -115,6 +121,27 @@ class TestComputeDeltas:
         expected = np.minimum(np.minimum(standard, prob.delta_cap), cap)
         assert np.array_equal(stab.deltas, expected)
         assert np.array_equal(stab.caps_applied, expected < standard)
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-6, 1e-10])
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_in_place_arithmetic_matches_the_formulas_bitwise(self, k, eps):
+        # compute_deltas works in place; these are its formulas as expressions
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 1000, k, 0.25))
+        h = mesh.lengths
+        for c0 in (1.0, 0.3):
+            standard = c0 * np.minimum(h * h / eps, h)
+            if k >= 2:
+                c_inv = estimate_c_inv(k)
+                cap = h * h / (2.0 * eps * c_inv * c_inv)
+            else:
+                cap = np.minimum(h * h / eps, (mesh.big_k + 1) / mesh.params.n_half)
+            capped = np.minimum(standard, np.minimum(cap, prob.delta_cap))
+            stab = compute_deltas(mesh, eps, c0)
+            assert np.array_equal(stab.deltas, standard) and not stab.caps_applied.any()
+            stab = compute_deltas(mesh, eps, c0, "theorem-capped", prob, k)
+            assert np.array_equal(stab.deltas, capped)
+            assert np.array_equal(stab.caps_applied, capped < standard)
 
     def test_cap_constant_kept_per_problem_object(self):
         # an unhashable evaluator is fine, and the constant goes with its Problem
@@ -417,17 +444,95 @@ class TestSolver:
         with pytest.raises(SolverError, match="residual contract violated: .* not finite"):
             solve_banded(system)
 
+    @pytest.mark.parametrize("step", ["zero", "quarter-rhs"])
+    def test_contract_scale_does_not_overflow(self, step, monkeypatch):
+        # A = tridiag(-1, 2, -1) and b = [X, 0, X] give x = [X, X, X]:
+        # ||A|| ||x|| = 4X overflows, though A x, x and b are finite.  With
+        # a zero refinement step the LU solution's residual is a relative
+        # 7e-17; a step of A^-1 b / 4 leaves r = b / 4, a relative 0.04
+        X = 6e307
+        prob = make_test_problem(1e-6, 0.25)
+        mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
+        bands = np.asfortranarray([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])
+        system = LinearSystem(bands, np.array([X, 0.0, X]), mesh, 1, "uniform", prob)
+        residual = {
+            "zero": lambda s, c: np.zeros(s.dimension),
+            "quarter-rhs": lambda s, c: s.rhs / 4,
+        }
+        monkeypatch.setattr("cuspfem.assembly._element_residual", residual[step])
+        if step == "zero":
+            assert 0.0 < solve_banded(system).residual <= 1e-16
+        else:
+            with pytest.raises(SolverError, match="relative residual 4.167e-02"):
+                solve_banded(system)
+
+    @pytest.mark.parametrize("k", [IN_PLACE_ORDER, 8])
+    def test_in_place_bands_that_disagree_with_the_element_operator_miss_the_contract(self, k):
+        # from IN_PLACE_ORDER on the contract measures b - A_elem x: LU
+        # storage scaled by 1.5 leaves x = A^-1 b / 1.5 + (A^-1 b / 3) / 1.5,
+        # 8/9 of the solution, so r = b / 9
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 16, k, 0.25))
+        system = assemble_galerkin(prob, mesh, k)
+        storage, ku = _band_storage(system)
+        assert ku == 2 * k and storage.shape == (3 * k + 1, system.dimension)
+        storage *= 1.5
+        with pytest.raises(SolverError, match="residual contract violated"):
+            solve_banded(system)
+
+    @pytest.mark.parametrize("k", [IN_PLACE_ORDER - 1, IN_PLACE_ORDER, 8])
+    def test_solve_consumes_in_place_systems_only(self, k):
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 16, k, 0.25))
+        system = assemble_galerkin(prob, mesh, k)
+        # bands held any other way keep the copy, and so do the assembled
+        # bands below IN_PLACE_ORDER
+        copied = dataclasses.replace(system, bands=system.bands.copy())
+        sharing = dataclasses.replace(system, rhs=system.rhs * 2)
+        x = np.ones(system.dimension)
+        first = solve_banded(system)
+        if k < IN_PLACE_ORDER:  # the solve factored a copy
+            assert np.array_equal(solve_banded(system).coefficients, first.coefficients)
+            assert np.array_equal(apply_system(system, x), apply_system(copied, x))
+            return
+        consumed = "solve_banded consumed this system: its bands hold LU factors"
+        # a system that shares the storage is consumed with it
+        for solved in (system, sharing):
+            with pytest.raises(ValueError, match=consumed):
+                solve_banded(solved)
+            with pytest.raises(ValueError, match=consumed):
+                apply_system(solved, x)
+        assert np.array_equal(solve_banded(copied).coefficients, first.coefficients)
+        assert np.array_equal(solve_banded(copied).coefficients, first.coefficients)
+
+    @pytest.mark.parametrize("k", [IN_PLACE_ORDER, 8])
+    def test_singular_in_place_system_is_consumed(self, k):
+        # dgbsv overwrites the storage before it reports a zero pivot
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
+        system = assemble_galerkin(prob, mesh, k)
+        _band_storage(system)[0][:] = 0.0
+        with pytest.raises(SolverError, match="singular"):
+            solve_banded(system)
+        with pytest.raises(ValueError, match="consumed"):
+            solve_banded(system)
+
     @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_scipy_solve_banded_bitwise(self, k, method, monkeypatch):
         eps = 1e-6
         prob = make_test_problem(eps, 0.25)
         mesh = build_mesh(MeshParams(eps, 64, k, 0.25))
-        if method == "galerkin":
-            system = assemble_galerkin(prob, mesh, k)
-        else:
-            system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
+
+        def assemble():
+            if method == "galerkin":
+                return assemble_galerkin(prob, mesh, k)
+            return assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
+
+        system, in_place = assemble(), k >= IN_PLACE_ORDER
         bands, rhs = system.bands.copy(), system.rhs.copy()
+        abs_system = LinearSystem(np.abs(bands), rhs, mesh, k, "uniform", prob)
+        norm_a = np.max(apply_system(abs_system, np.ones(rhs.size)))
         fn = solve_banded(system)
         # before the refinement step: LAPACK dgbsv on scipy's band storage,
         # for every k (scipy.linalg.solve_banded takes dgtsv for k = 1)
@@ -435,20 +540,28 @@ class TestSolver:
         ab[k:] = bands
         sol = lapack.dgbsv(k, k, ab, rhs)[2]
         # a zero residual makes the refinement step zero, so the solve
-        # returns its LU solution
+        # returns its LU solution; an in-place solve consumed the system
         with monkeypatch.context() as m:
             m.setattr("cuspfem.assembly._element_residual", lambda s, c: np.zeros(s.dimension))
-            assert np.array_equal(solve_banded(system).coefficients[1:-1], sol)
+            again = assemble() if in_place else system
+            assert np.array_equal(solve_banded(again).coefficients[1:-1], sol)
         if k >= 2:
             assert np.array_equal(sol, scipy.linalg.solve_banded((k, k), bands, rhs))
-        # the recorded residual is the band matrix's, at the refined solution
+        # the recorded residual, at the refined solution, is the band
+        # matrix's below IN_PLACE_ORDER and the element operator's from it on
         x = fn.coefficients[1:-1]
-        res = np.max(np.abs(apply_system(system, x) - rhs))
-        abs_system = LinearSystem(np.abs(bands), rhs, mesh, k, "uniform", prob)
-        norm_a = np.max(apply_system(abs_system, np.ones(rhs.size)))
-        assert fn.residual == res / (norm_a * np.max(np.abs(x)) + np.max(np.abs(rhs)))
-        # the solve works on its own copy
-        assert np.array_equal(system.bands, bands) and np.array_equal(system.rhs, rhs)
+        if in_place:
+            r = _element_residual(system, fn.coefficients)
+        else:
+            r = apply_system(system, x) - rhs
+        res, x_max, b_max = np.max(np.abs(r)), np.max(np.abs(x)), np.max(np.abs(rhs))
+        scale = max(x_max, b_max)
+        assert fn.residual == res / scale / (norm_a * (x_max / scale) + b_max / scale)
+        assert fn.residual <= 1e-15
+        # the right-hand side survives; the bands do below IN_PLACE_ORDER,
+        # where the solve factors a copy of them
+        assert np.array_equal(system.rhs, rhs)
+        assert np.array_equal(system.bands, bands) != in_place
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_non_finite_rhs_is_a_solver_error(self, k):
@@ -563,10 +676,11 @@ class TestWorkingMemory:
     # depend on how malloc returns memory to the system
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_solve_holds_one_band_copy(self, k):
-        # LAPACK's (3k+1, n) band storage, the solution, the refinement
-        # step's residual and the int32 pivots: the band copy plus 2.5
-        # n-vectors, within a bound of 3.  The step's per-block temporaries
-        # may add a constant, but nothing beyond these may grow with N
+        # below IN_PLACE_ORDER LAPACK's (3k+1, n) copy of the bands, from it
+        # on none (the LU overwrites assembly's storage); then the solution,
+        # the refinement step's residual and the int32 pivots, 2.5
+        # n-vectors.  The step's per-block temporaries may add a constant,
+        # but nothing beyond these may grow with N
         eps = 1e-10
         prob = make_test_problem(eps, 0.25)
         beyond = []
@@ -575,13 +689,15 @@ class TestWorkingMemory:
             system = assemble_galerkin(prob, mesh, k)
             n = system.dimension
             _, peak = traced_peak(solve_banded, system)
-            beyond.append(peak - (3 * k + 1) * n * 8 - 2 * n * 8 - n * 4)
+            copy = 0 if k >= IN_PLACE_ORDER else (3 * k + 1) * n * 8
+            beyond.append(peak - copy - 2 * n * 8 - n * 4)
         assert beyond[1] <= beyond[0] + 64 * 1024
 
     @pytest.mark.parametrize("k, n_half", [(1, 4096), (8, 1024)])
     def test_apply_system_allocates_only_its_result(self, k, n_half):
-        # assembly returns Fortran-ordered bands, which dgbmv reads in place:
-        # the product allocates its n-vector result and no band copy or buffer
+        # assembly returns Fortran-ordered bands, or from IN_PLACE_ORDER on
+        # Fortran-ordered LU storage, which dgbmv reads in place: the product
+        # allocates its n-vector result and no band copy or buffer
         eps = 1e-10
         prob = make_test_problem(eps, 0.25)
         mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
@@ -590,7 +706,7 @@ class TestWorkingMemory:
             assemble_galerkin(prob, mesh, k),
             assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps)),
         ):
-            assert system.bands.flags.f_contiguous
+            assert _band_storage(system)[0].flags.f_contiguous
             _, peak = traced_peak(apply_system, system, x)
             assert peak <= x.nbytes + 16 * 1024
 
@@ -603,8 +719,39 @@ class TestWorkingMemory:
                 mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
                 kwargs = {"stab": compute_deltas(mesh, eps)} if assemble is assemble_sdfem else {}
                 system, peak = traced_peak(assemble, prob, mesh, k, **kwargs)
-                extra.append(peak - system.bands.nbytes - system.rhs.nbytes)
+                # the arrays that hold the bands (LU storage at this k) and rhs
+                extra.append(peak - system.bands.base.nbytes - system.rhs.base.nbytes)
             assert extra[1] <= extra[0] + 64 * 1024
+
+    @pytest.mark.parametrize("n_half", [4096, 16384])
+    def test_in_place_case_peaks_at_its_storage_and_four_vectors(self, n_half):
+        # from IN_PLACE_ORDER on one case holds assembly's (3k+1, n+2) LU
+        # storage, the rhs, the solve's 2.5 n-vectors (coefficients, step,
+        # int32 pivots) and the per-block temporaries of assembly and the
+        # element residual; the band copy of the solve is gone
+        eps, k = 1e-10, 8
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+        stab = compute_deltas(mesh, eps)
+        n = 2 * n_half * k - 1
+        bound = (3 * k + 1) * (n + 2) * 8 + (n + 2) * 8 + 4 * n * 8 + 1024 * 1024
+        for assemble in (
+            lambda: assemble_galerkin(prob, mesh, k),
+            lambda: assemble_sdfem(prob, mesh, k, stab=stab),
+        ):
+            _, peak = traced_peak(lambda: solve_banded(assemble()))
+            assert peak <= bound
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    @pytest.mark.parametrize("policy, per_interval", [("standard", 10), ("theorem-capped", 18)])
+    def test_deltas_peak_is_near_their_output(self, policy, per_interval, k):
+        # deltas and caps_applied are 9 bytes an interval; the profile's sign
+        # check adds 1, and theorem-capped holds the standard values too
+        eps = 1e-6
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 65536, k, 0.25))
+        _, peak = traced_peak(compute_deltas, mesh, eps, 1.0, policy, prob, k)
+        assert peak <= per_interval * mesh.n_intervals + 16 * 1024
 
     def test_mesh_peak_is_near_its_output(self):
         # nodes and lengths are 16 bytes an interval; the decades go straight

@@ -54,3 +54,18 @@ def test_traced_passes_record_every_span_and_counter(tracer, tmp_path):
         makes = [s for s in spans if s["name"] == "problem.make"]
         assert counts["problem.make"] == len(makes) == distinct_eps
         assert all(s["parent"] == root for s in makes)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_assembled_bands_keep_the_size_that_bytes_computed_counts(k):
+    # assembly.bytes_computed adds system.bands.nbytes: (2k+1) rows of n,
+    # also where the bands are rows of the solve's larger LU storage
+    mesh = experiments.build_mesh(experiments.MeshParams(1e-6, 16, k, 0.25))
+    prob = experiments.make_problem("sun-stynes-example", 1e-6, 0.25)
+    for system in (
+        experiments.assemble_galerkin(prob, mesh, k),
+        experiments.assemble_sdfem(prob, mesh, k, stab=experiments.compute_deltas(mesh, 1e-6)),
+    ):
+        n = system.dimension
+        assert system.bands.shape == (2 * k + 1, n)
+        assert system.bands.nbytes == (2 * k + 1) * n * 8
