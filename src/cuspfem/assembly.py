@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
+from ._lapack import blas, lapack
 from .basis import QuadratureRule, ReferenceBasis, gauss_rule, estimate_c_inv
 from .mesh import Mesh
 from .problem import Problem
@@ -76,7 +76,8 @@ class StabilizationProfile:
     def __post_init__(self):
         self.deltas.setflags(write=False)
         self.caps_applied.setflags(write=False)
-        if np.any(self.deltas < 0.0):
+        # a reduction, not a bool per interval; fmin skips NaN, as < does
+        if np.fmin.reduce(self.deltas, initial=0.0) < 0.0:
             raise ValueError("stabilization parameters must be nonnegative")
 
 

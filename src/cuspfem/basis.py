@@ -13,7 +13,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+
+from ._lapack import lapack
 
 FAMILIES = ("uniform", "gauss-lobatto")
 
@@ -138,5 +139,8 @@ def estimate_c_inv(k: int) -> float:
     pw = m[:, None] + m[None, :] - 3.0
     np.divide(mm, pw, out=A, where=mm != 0.0)
     B = m[:, None] * m[None, :] / (m[:, None] + m[None, :] - 1.0)
-    ev = scipy.linalg.eigh(A, B, eigvals_only=True)
+    # the LAPACK call scipy.linalg.eigh(A, B, eigvals_only=True) makes
+    ev, _, info = lapack.dsygvd(A, B, jobz="N", uplo="L")
+    if info != 0:
+        raise ValueError(f"generalized eigenproblem for c_inv failed: LAPACK dsygvd info {info}")
     return float(np.sqrt(max(ev[-1], 0.0)))

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -336,3 +340,17 @@ def einsum_reference_assembly(
         loc += np.einsum("eq,eiq,ejq->ije", dw, test, trial)
         rhs_loc += np.einsum("eq,eq,eiq->ie", dw, fq, test)
     return _scatter(loc, rhs_loc, k)
+
+
+def run_python(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter on the checkout's src/,
+    so that only `code` decides what gets imported and in which order."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

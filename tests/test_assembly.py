@@ -77,6 +77,16 @@ class TestComputeDeltas:
         with pytest.raises(ValueError, match="stabilization parameters must be nonnegative"):
             StabilizationProfile(np.array([0.1, -1e-3]), np.zeros(2, dtype=bool))
 
+    @pytest.mark.parametrize("deltas", [[np.nan, -1e-3, 0.1], [-np.inf]])
+    def test_negative_delta_rejected_next_to_nan_and_at_infinity(self, deltas):
+        with pytest.raises(ValueError, match="stabilization parameters must be nonnegative"):
+            StabilizationProfile(np.array(deltas), np.zeros(len(deltas), dtype=bool))
+
+    @pytest.mark.parametrize("deltas", [[], [0.0, -0.0], [np.nan, 0.1], [np.inf]])
+    def test_sign_check_passes_what_is_not_below_zero(self, deltas):
+        # the sign check lets NaN and -0.0 through, as `deltas < 0` does
+        StabilizationProfile(np.array(deltas, dtype=float), np.zeros(len(deltas), dtype=bool))
+
     def test_c0_scaling(self):
         mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))
         base = compute_deltas(mesh, 1e-6)
@@ -745,13 +755,22 @@ class TestWorkingMemory:
     @pytest.mark.parametrize("k", [1, 2, 8])
     @pytest.mark.parametrize("policy, per_interval", [("standard", 10), ("theorem-capped", 18)])
     def test_deltas_peak_is_near_their_output(self, policy, per_interval, k):
-        # deltas and caps_applied are 9 bytes an interval; the profile's sign
-        # check adds 1, and theorem-capped holds the standard values too
+        # deltas and caps_applied are 9 bytes an interval, and theorem-capped
+        # holds the standard values too; the byte over that is headroom, which
+        # theorem-capped needs for a fresh problem's gamma estimate (run while
+        # both of its arrays are live); the sign check takes none (see below)
         eps = 1e-6
         prob = make_test_problem(eps, 0.25)
         mesh = build_mesh(MeshParams(eps, 65536, k, 0.25))
         _, peak = traced_peak(compute_deltas, mesh, eps, 1.0, policy, prob, k)
         assert peak <= per_interval * mesh.n_intervals + 16 * 1024
+
+    def test_profile_sign_check_allocates_no_array(self):
+        # the check is one reduction over the deltas, not a bool an interval
+        n = 131072
+        deltas, caps = np.full(n, 0.5), np.zeros(n, dtype=bool)
+        _, peak = traced_peak(StabilizationProfile, deltas, caps)
+        assert peak <= 1024
 
     def test_mesh_peak_is_near_its_output(self):
         # nodes and lengths are 16 bytes an interval; the decades go straight

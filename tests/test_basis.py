@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from helpers import loop_diff_matrix
 
+import cuspfem.basis
 from cuspfem import ReferenceBasis, estimate_c_inv, gauss_rule, reference_nodes
 
 
@@ -148,3 +151,26 @@ class TestInverseEstimate:
     def test_monotone_in_k(self):
         vals = [estimate_c_inv(k) for k in range(1, 9)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_scipy_eigh_bitwise(self, k):
+        # the forms int p'' q'' and int p' q' on t^i, t^j, entry by entry;
+        # estimate_c_inv makes eigh's LAPACK call (dsygvd) itself
+        A, B = np.zeros((k, k)), np.zeros((k, k))
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                if i > 1 and j > 1:
+                    A[i - 1, j - 1] = i * (i - 1) * j * (j - 1) / (i + j - 3.0)
+                B[i - 1, j - 1] = i * j / (i + j - 1.0)
+        ev = scipy.linalg.eigh(A, B, eigvals_only=True)
+        assert estimate_c_inv(k) == float(np.sqrt(max(ev[-1], 0.0)))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        # info n + i: the leading minor of order i of B is not positive definite
+        def failing(a, b, **kwargs):
+            return np.zeros(len(a)), a, len(a) + 1
+
+        monkeypatch.setattr(cuspfem.basis, "lapack", SimpleNamespace(dsygvd=failing))
+        estimate_c_inv.cache_clear()
+        with pytest.raises(ValueError, match="LAPACK dsygvd info 4"):
+            estimate_c_inv(3)

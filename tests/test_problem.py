@@ -1,14 +1,10 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import noncoercive_problem
+from helpers import noncoercive_problem, run_python
 
 import cuspfem.problem
 from cuspfem import (
@@ -253,18 +249,25 @@ class TestGammaEstimate:
         )
         assert gamma_estimate(prob) == pytest.approx(1.5, abs=1e-12)
 
-    def test_import_leaves_scipy_optimize_out(self):
-        # gamma_estimate needs no optimiser, so the CLI does not pay its import
-        root = Path(__file__).resolve().parents[1]
-        code = "import sys, cuspfem.experiments; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
+    def test_import_leaves_scipy_optimize_out(self, tmp_path):
+        # gamma_estimate needs no optimiser, so the CLI does not pay its
+        # import; and a tiny theorem-capped SDFEM solve reaches dsygvd (c_inv)
+        # and dgbsv, which cuspfem._lapack takes from scipy's extension
+        # modules alone, so the scipy.linalg namespace and what it pulls in
+        # stay unloaded too
+        heavy = ["scipy.optimize", "scipy.linalg", "numpy.f2py", "numpy.testing", "charset_normalizer"]
+        argv = [
+            "solve", "--eps", "1e-4", "--lambda", "0.25", "--n", "32", "--k", "2",
+            "--method", "sdfem", "--delta-policy", "theorem-capped",
+            "--out", str(tmp_path / "solve.csv"),
+        ]
+        code = (
+            "import sys, cuspfem.experiments\n"
+            f"assert cuspfem.experiments.main({argv!r}) == 0\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert run_python(code).splitlines()[-1] == "[]"
+        assert (tmp_path / "solve.csv").exists()
 
     def test_noncoercive_problem_raises(self):
         with pytest.raises(ValueError, match="coercivity"):
