@@ -113,6 +113,8 @@ def compute_deltas(
         return StabilizationProfile(deltas, np.zeros(h.size, dtype=bool))
     if problem is None or k is None:
         raise ValueError("theorem-capped policy needs problem and k")
+    # a fresh problem estimates its cap here, before the cap array exists
+    coercivity_cap = problem.delta_cap
     cap = h * h
     if k >= 2:
         c_inv = estimate_c_inv(k)
@@ -120,7 +122,7 @@ def compute_deltas(
     else:
         cap /= eps
         np.minimum(cap, (mesh.big_k + 1) / mesh.params.n_half, out=cap)
-    np.minimum(cap, problem.delta_cap, out=cap)
+    np.minimum(cap, coercivity_cap, out=cap)
     np.minimum(deltas, cap, out=cap)
     return StabilizationProfile(cap, cap < deltas)
 

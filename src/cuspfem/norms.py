@@ -89,8 +89,12 @@ def _integrate_norms(fn, problem, stab, quad, minus=None) -> ErrorReport:
     for block in _blocks(fn.mesh, fn.coefficients, k):
         local = block.local if minus is None else block.local - subtrahend[block.span].T
         counts = _panel_counts(block, problem.eps, quad.panels)
-        for p in np.unique(counts):
-            g = counts == p
+        # the counts run from 1 to quad.panels: bincount's nonzero bins are
+        # their distinct values, ascending; a block of one count is used in
+        # place, without masked copies
+        values = np.flatnonzero(np.bincount(counts))
+        for p in values:
+            g = slice(None) if values.size == 1 else counts == p
             tables = _element_tables(k, fn.family, max(quad.points, k + 3), int(p))
             h, u, xq = block.lengths[g], local[:, g], block.at(tables.rule.points, g)
             err, derr = tables.V.T @ u, (tables.D1.T @ u) / h

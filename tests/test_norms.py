@@ -31,7 +31,8 @@ from cuspfem import (
     sd_distance,
     solve_banded,
 )
-from cuspfem.norms import _panel_counts
+from cuspfem.assembly import _blocks, _element_tables, _windows
+from cuspfem.norms import ErrorReport, _panel_counts
 
 
 def constant_one_problem(eps: float) -> Problem:
@@ -314,6 +315,54 @@ class TestLayerGradedQuadrature:
         assert sd_distance(interp, fn, prob, stab) == error_norms(diff, zero_exact, mesh, stab).sd
 
 
+def masked_grouping_norms(fn, problem, stab, quad, minus=None) -> ErrorReport:
+    """The norms' former grouping, the bit-for-bit reference of the current
+    one: each block's panel counts from np.unique, and each count's elements
+    gathered by a boolean mask even when they are the whole block."""
+    k = fn.order
+    subtrahend = None if minus is None else _windows(minus.coefficients, k)
+    sums, sd = np.zeros(3), 0.0
+    for block in _blocks(fn.mesh, fn.coefficients, k):
+        local = block.local if minus is None else block.local - subtrahend[block.span].T
+        counts = _panel_counts(block, problem.eps, quad.panels)
+        for p in np.unique(counts):
+            g = counts == p
+            tables = _element_tables(k, fn.family, max(quad.points, k + 3), int(p))
+            h, u, xq = block.lengths[g], local[:, g], block.at(tables.rule.points, g)
+            err, derr = tables.V.T @ u, (tables.D1.T @ u) / h
+            if minus is None:
+                err, derr = problem.exact(xq) - err, problem.exact_dx(xq) - derr
+            wq = tables.rule.weights[:, None] * h
+            sums += [np.sum(wq * err * err), np.sum(wq * derr * derr), np.sum(wq * (xq * derr) ** 2)]
+            if stab is not None:
+                sd += np.sum(stab.deltas[block.span][g] * wq * (problem.coeff_a(xq) * derr) ** 2)
+    l2, h1, xdp = sums
+    return ErrorReport(*np.sqrt([l2, problem.eps * h1 + l2, problem.eps * h1 + l2 + sd, xdp]))
+
+
+def assert_grouping_matches_reference(prob, mesh, stab, fn, distance_stab, quad=QuadSpec()):
+    """error_norms (profile `stab`) and sd_distance of the interpolant and fn
+    (profile `distance_stab`) equal the masked grouping bit for bit."""
+    assert error_norms(fn, prob, mesh, stab, quad) == masked_grouping_norms(fn, prob, stab, quad)
+    interp = interpolate(prob, mesh, fn.order)
+    ref = masked_grouping_norms(interp, prob, distance_stab, quad, minus=fn).sd
+    assert sd_distance(interp, fn, prob, distance_stab, quad) == ref
+
+
+class TestGroupingReference:
+    # A block whose elements share one panel count is used in place, not
+    # gathered by a mask; the matrix products and sums see the same values
+    # in the same order, so the norms are those of the masked grouping
+    @pytest.mark.parametrize("eps", [1.0, 1e-10])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
+    def test_fine_mesh_blocks_of_one_count(self, method, k, eps):
+        prob, mesh, stab, fn = solved(method, k, eps, 0.25, 1024)
+        assert mesh.n_intervals > cuspfem.assembly.BLOCK_ELEMENTS
+        assert np.all(_panel_counts(mesh, eps, QuadSpec().panels) == 1)
+        assert_grouping_matches_reference(prob, mesh, stab, fn, compute_deltas(mesh, eps))
+
+
 class TestBlockedSums:
     # The norms walk the mesh in blocks and group each block's elements by
     # panel count, so they add the same terms as a whole-mesh pass in
@@ -347,3 +396,5 @@ class TestBlockedSums:
         assert np.all(np.abs(new - ref) <= 1e-13 * ref)
         distance = sd_distance(interp, fn, prob, capped, quad)
         assert abs(distance - ref_distance) <= 1e-13 * ref_distance
+        # blocks of several counts keep the mask: bit for bit the former grouping
+        assert_grouping_matches_reference(prob, mesh, stab, fn, capped, quad)

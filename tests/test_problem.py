@@ -254,8 +254,12 @@ class TestGammaEstimate:
         # import; and a tiny theorem-capped SDFEM solve reaches dsygvd (c_inv)
         # and dgbsv, which cuspfem._lapack takes from scipy's extension
         # modules alone, so the scipy.linalg namespace and what it pulls in
-        # stay unloaded too
-        heavy = ["scipy.optimize", "scipy.linalg", "numpy.f2py", "numpy.testing", "charset_normalizer"]
+        # stay unloaded too; the error norms group elements without
+        # np.unique, which would import numpy.ma
+        heavy = [
+            "scipy.optimize", "scipy.linalg", "numpy.f2py", "numpy.testing", "charset_normalizer",
+            "numpy.ma",
+        ]
         argv = [
             "solve", "--eps", "1e-4", "--lambda", "0.25", "--n", "32", "--k", "2",
             "--method", "sdfem", "--delta-policy", "theorem-capped",
