@@ -250,7 +250,10 @@ def _element_tables(k: int, family: str, q: int, panels: int = 1) -> _ElementTab
 
 def _windows(coeffs: np.ndarray, k: int) -> np.ndarray:
     """Row e is element e's k+1 nodal coefficients: a read-only strided view."""
-    return np.lib.stride_tricks.sliding_window_view(coeffs, k + 1)[::k]
+    step = coeffs.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        coeffs, ((coeffs.size - 1) // k, k + 1), (k * step, step), writeable=False
+    )
 
 
 class _Block(NamedTuple):
@@ -297,9 +300,12 @@ def _block_samples(problem: Problem, block: _Block, points: np.ndarray, load: bo
 
 def _add_local(vec: np.ndarray, loc: np.ndarray, span: slice, k: int) -> None:
     """Add local vectors loc (k+1, nel_b) of the elements in `span` into the
-    global vector; row i of element e is global entry e*k + i."""
-    for i in range(k + 1):
-        vec[span.start * k + i : span.stop * k + i : k] += loc[i]
+    global vector; row i of element e is global entry e*k + i.  Rows 0..k-1
+    are one slice add and row k another, which sums each entry's (at most
+    two) terms in the order of a row-by-row scatter."""
+    head = vec[span.start * k : span.stop * k].reshape(-1, k)
+    head += loc[:k].T
+    vec[span.start * k + k : span.stop * k + k : k] += loc[k]
 
 
 def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> None:
@@ -309,18 +315,24 @@ def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> None:
     w, eps = tables.rule.weights[:, None], problem.eps
 
     # per-point weights, q rows a term, in the order of the matrix table's
-    # columns (Galerkin takes the first two terms)
-    weights = [w * aq, w * h * cq]
-    load = [w * h * fq]
+    # columns (Galerkin takes the first two terms), written in place
+    terms = 2 if deltas is None else 5
+    weights = np.empty((terms, w.size, h.size))
+    load = np.empty((terms // 2, w.size, h.size))
+    np.multiply(w, aq, out=weights[0])
+    np.multiply(w * h, cq, out=weights[1])
+    np.multiply(w * h, fq, out=load[0])
     if deltas is not None:
         dwa = weights[0] * (deltas[block.span] / h)  # delta w a / h
-        weights += [dwa * aq, dwa * (h * cq), dwa * (-eps / h)]
-        load.append(dwa * (h * fq))
+        np.multiply(dwa, aq, out=weights[2])
+        np.multiply(dwa, h * cq, out=weights[3])
+        np.multiply(dwa, -eps / h, out=weights[4])
+        np.multiply(dwa, h * fq, out=load[1])
+    weights, load = weights.reshape(-1, h.size), load.reshape(-1, h.size)
     # one product for all terms but diffusion, which is added afterwards as
     # (eps/h) S_ref: summed into the product it rounds each small term
     # against the large diffusion entry, and the unrefined error at eps
     # 1e-6, k 8, N 16384 rose from 7.2e-8 to 9.4e-7
-    weights, load = np.vstack(weights), np.vstack(load)
     loc = (tables.matrix[:, : len(weights)] @ weights).reshape(k + 1, k + 1, h.size)
     loc += tables.s_ref[:, :, None] * (eps / h)
     rhs_loc = tables.load[:, : len(load)] @ load
@@ -440,12 +452,23 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
         du = u[1:] - u[:1]
         dv = (D1[1:].T @ du) / h  # v' at the points, (q, nel_b)
         strong = aq * dv + cq * (V.T @ u)
-        with_v, with_d1 = w * h * strong, w * eps * dv
+        # the weights of V and of D1, in the halves of one array
+        stacked = np.empty((2, *strong.shape))
+        np.multiply(w * h, strong, out=stacked[0])
+        with_d1 = np.multiply(w * eps, dv, out=stacked[1])
         if deltas is not None:
+            # eps v'' / h^2, then the SD weight w (delta a) strong, each
+            # formed in place in dv, which is spent
             if k >= 2:  # D2 is zero at k = 1, and this product is 15-25 % of the pass
-                strong -= eps * (D2[1:].T @ du) / (h * h)
-            with_d1 += w * (deltas[block.span] * aq) * strong
-        _add_local(ax, tables.load @ np.vstack([with_v, with_d1]), block.span, k)
+                np.matmul(D2[1:].T, du, out=dv)
+                dv *= eps
+                dv /= h * h
+                strong -= dv
+            np.multiply(deltas[block.span], aq, out=dv)
+            dv *= w
+            dv *= strong
+            with_d1 += dv
+        _add_local(ax, tables.load @ stacked.reshape(-1, h.size), block.span, k)
     # the two boundary entries collect rows that Dirichlet elimination drops
     r = ax[1:-1]
     np.subtract(system.rhs, r, out=r)
@@ -478,8 +501,8 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     norm_b = np.max(np.abs(rhs), initial=0.0)
     if not (np.isfinite(norm_a) and np.isfinite(norm_b)):
         raise SolverError("banded LU failed: array must not contain infs or NaNs")
-    if not in_place:  # k extra rows for the fill-in
-        ab = np.zeros((3 * k + 1, n), order="F")
+    if not in_place:  # k rows for the fill-in, which dgbsv's contract lets be unset
+        ab = np.empty((3 * k + 1, n), order="F")
         ab[k:] = system.bands
     # dgbsv (banded LU with partial pivoting) on Fortran-ordered storage,
     # and in place on the interior of the nodal coefficients, whose

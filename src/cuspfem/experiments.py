@@ -17,7 +17,7 @@ import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -145,7 +145,7 @@ def _run_case(config: SweepConfig, prob, eps: float, n: int, k: int) -> Converge
         n,
         mesh.big_k,
         k,
-        **asdict(report),
+        **vars(report),  # asdict would deep-copy the four floats
         residual_ok=bool(fn.residual <= RESIDUAL_TOL),
         mesh_ok=diag.ok,
     )
@@ -253,7 +253,8 @@ def _fmt_cell(name: str, value, fmt: str) -> str:
 def emit(table: Table, fmt: str = "csv", path=None) -> str:
     """
     Render a table as CSV (17 significant digits) or markdown (3
-    significant digits); write it to `path` when given.
+    significant digits, "|" in a cell escaped as "\\|" and a newline
+    turned into a space); write it to `path` when given.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -264,8 +265,13 @@ def emit(table: Table, fmt: str = "csv", path=None) -> str:
         csv.writer(buf, lineterminator="\n").writerows([table.columns, *cells])
         text = buf.getvalue()
     else:
+        # a cell's "|" (an error message) would split the cell, and its
+        # newline would end the row
         rule = ["---"] * len(table.columns)
-        text = "".join("| " + " | ".join(row) + " |\n" for row in [table.columns, rule, *cells])
+        text = "".join(
+            "| " + " | ".join(c.replace("|", "\\|").replace("\n", " ") for c in row) + " |\n"
+            for row in [table.columns, rule, *cells]
+        )
     if path is not None:
         try:
             with open(path, "w") as fh:

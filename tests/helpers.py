@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -137,6 +138,21 @@ def loop_mesh_nodes(params) -> np.ndarray:
         half.append(np.array([hi]))
     right = np.concatenate(half)
     return np.concatenate((-right[:0:-1], right))
+
+
+def loop_add_local(vec: np.ndarray, loc: np.ndarray, span: slice, k: int) -> None:
+    """`_add_local` one row at a time: row i of the local vectors loc
+    (k+1, nel_b) of the elements in `span` goes to the global entries
+    e*k + i.  Assembly and the element residual scattered their blocks this
+    way before rows 0..k-1 became one reshaped slice."""
+    for i in range(k + 1):
+        vec[span.start * k + i : span.stop * k + i : k] += loc[i]
+
+
+def sliding_windows(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """`_windows` through numpy's sliding_window_view: row e holds element
+    e's k+1 nodal coefficients."""
+    return np.lib.stride_tricks.sliding_window_view(coeffs, k + 1)[::k]
 
 
 def zero_stab(mesh) -> StabilizationProfile:
@@ -354,3 +370,9 @@ def run_python(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def markdown_cells(line: str) -> list[str]:
+    """The cells of one markdown table row, split on the "|" that no
+    backslash escapes."""
+    return [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]

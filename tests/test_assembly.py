@@ -15,13 +15,16 @@ from helpers import (
     bands_to_dense,
     discrete_l2,
     einsum_reference_assembly,
+    loop_add_local,
     near_zero_coefficient_problem,
     patch_problem,
     reference_assembly,
+    sliding_windows,
     weak_form_on_exact,
     zero_stab,
 )
 
+import cuspfem.assembly
 from cuspfem import (
     AssemblyError,
     DiscreteFunction,
@@ -45,9 +48,13 @@ from cuspfem import (
 from cuspfem.assembly import (
     BLOCK_ELEMENTS,
     IN_PLACE_ORDER,
+    _add_local,
+    _assemble_block,
     _band_storage,
+    _blocks,
     _element_residual,
     _element_tables,
+    _windows,
 )
 
 
@@ -253,6 +260,50 @@ class TestSystemStructure:
             assemble_sdfem(prob, mesh, 1)
         with pytest.raises(ValueError):
             assemble_sdfem(prob, mesh, 1, stab=compute_deltas(other, 1e-6))
+
+
+class TestBlockScatter:
+    # blocks of 3 elements put block boundaries inside the 8-element mesh,
+    # and the last block's row k on the last vertex
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_add_local_and_windows_match_their_references(self, k, monkeypatch):
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 3)
+        mesh = build_mesh(MeshParams(1e-4, 4, k, 0.25))
+        rng = np.random.default_rng(k)
+        coeffs = rng.standard_normal(mesh.n_intervals * k + 1)
+        loc = rng.standard_normal((k + 1, mesh.n_intervals))
+        vec = rng.standard_normal(coeffs.size)
+        ref = vec.copy()
+        spans = []
+        for block in _blocks(mesh, coeffs, k):
+            spans.append(block.span)
+            assert np.array_equal(block.local, sliding_windows(coeffs, k)[block.span].T)
+            _add_local(vec, loc[:, block.span], block.span, k)
+            loop_add_local(ref, loc[:, block.span], block.span, k)
+        assert [b.stop - b.start for b in spans] == [3, 3, 2]
+        assert np.array_equal(vec, ref)
+        for c in (coeffs, coeffs[::2]):  # contiguous and strided
+            windows = _windows(c, k)
+            assert np.array_equal(windows, sliding_windows(c, k))
+            assert not windows.flags.writeable
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_assembly_and_residual_match_the_row_by_row_scatter(self, k, monkeypatch):
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 3)
+        eps = 1e-4
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 4, k, 0.25))
+        stab = compute_deltas(mesh, eps)
+        coeffs = np.random.default_rng(k).standard_normal(mesh.n_intervals * k + 1)
+
+        def run():
+            system = assemble_sdfem(prob, mesh, k, stab=stab)
+            return system.bands.copy(), system.rhs, _element_residual(system, coeffs)
+
+        blocked = run()
+        monkeypatch.setattr(cuspfem.assembly, "_add_local", loop_add_local)
+        for new, ref in zip(blocked, run()):
+            assert np.array_equal(new, ref)
 
 
 class TestPinnedArithmetic:
@@ -573,6 +624,37 @@ class TestSolver:
         assert np.array_equal(system.rhs, rhs)
         assert np.array_equal(system.bands, bands) != in_place
 
+    @pytest.mark.parametrize("n_half", [4, 64])
+    @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
+    @pytest.mark.parametrize("k", range(1, IN_PLACE_ORDER))
+    def test_lu_copy_ignores_its_fill_rows(self, k, method, n_half):
+        # dgbsv documents the first k rows of its band array as "need not be
+        # set", and the solve leaves them as np.empty finds them: NaN there
+        # gives the x, pivots and refined coefficients of a zero fill, and
+        # solve_banded returns those coefficients
+        eps = 1e-6
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
+        if method == "galerkin":
+            system = assemble_galerkin(prob, mesh, k)
+        else:
+            system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
+        n = system.dimension
+        results = []
+        for fill in (0.0, np.nan):
+            ab = np.full((3 * k + 1, n), fill, order="F")
+            ab[k:] = system.bands
+            lu, piv, x, info = lapack.dgbsv(k, k, ab, system.rhs)
+            assert info == 0
+            coeffs = np.zeros(n + 2)
+            coeffs[1:-1] = x
+            step, info = lapack.dgbtrs(lu, k, k, _element_residual(system, coeffs), piv)
+            assert info == 0
+            results.append((x, piv, x + step))
+        for zero_filled, nan_filled in zip(*results):
+            assert np.array_equal(zero_filled, nan_filled)
+        assert np.array_equal(solve_banded(system).coefficients[1:-1], results[0][2])
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_non_finite_rhs_is_a_solver_error(self, k):
         prob = make_test_problem(1e-4, 0.25)
@@ -681,6 +763,18 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def recording_tables(tables, peaks: list):
+    """`tables` whose matrix and load tables append to `peaks` the peak bytes
+    that tracemalloc has traced whenever they multiply."""
+
+    class Recording(np.ndarray):
+        def __matmul__(self, other):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return np.asarray(self) @ other
+
+    return tables._replace(matrix=tables.matrix.view(Recording), load=tables.load.view(Recording))
+
+
 class TestWorkingMemory:
     # tracemalloc counts the bytes numpy allocates, so these bounds do not
     # depend on how malloc returns memory to the system
@@ -732,6 +826,51 @@ class TestWorkingMemory:
                 # the arrays that hold the bands (LU storage at this k) and rhs
                 extra.append(peak - system.bands.base.nbytes - system.rhs.base.nbytes)
             assert extra[1] <= extra[0] + 64 * 1024
+
+    # One SDFEM block of 8192 elements at k = 4: its arrays of q = k + 3
+    # rows, 458 KB each, dwarf numpy's 64 KB ufunc buffers.  A stacked copy
+    # of the weights would add 7 such arrays before assembly's first table
+    # product and 2 before the residual's
+    @pytest.fixture
+    def sdfem_block(self, monkeypatch):
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 8192)
+        eps, k = 1e-6, 4
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 4096, k, 0.25))
+        return prob, mesh, compute_deltas(mesh, eps)
+
+    def test_sdfem_block_weights_are_its_only_copy(self, sdfem_block):
+        # before its first product a block holds a, c and f, delta w a / h,
+        # the 5 + 2 terms of weights and one temporary
+        prob, mesh, stab = sdfem_block
+        k, rows = 4, 8 * mesh.n_intervals  # bytes of one row of a block array
+        peaks = []
+        tables = recording_tables(_element_tables(k, "uniform", k + 3), peaks)
+        bands = np.zeros((2 * k + 1, mesh.n_intervals * k + 1), order="F")
+        rhs = np.zeros(mesh.n_intervals * k + 1)
+        (block,) = _blocks(mesh)
+        traced_peak(_assemble_block, prob, block, k, tables, stab.deltas, bands, rhs)
+        assert len(peaks) == 2
+        assert peaks[0] <= 12 * (k + 3) * rows + 256 * 1024
+
+    def test_sdfem_residual_weights_are_its_only_copy(self, sdfem_block, monkeypatch):
+        # the residual holds its n-vector, the block's differences (k rows),
+        # a, c, v', the strong residual, its two halves of weights and one
+        # temporary; the SD terms are formed in place
+        prob, mesh, stab = sdfem_block
+        k, rows = 4, 8 * mesh.n_intervals
+        system = assemble_sdfem(prob, mesh, k, stab=stab)
+        coeffs = np.zeros(system.dimension + 2)
+        coeffs[1:-1] = np.random.default_rng(4).standard_normal(system.dimension)
+        peaks = []
+        monkeypatch.setattr(
+            cuspfem.assembly,
+            "_element_tables",
+            lambda *key: recording_tables(_element_tables(*key), peaks),
+        )
+        traced_peak(_element_residual, system, coeffs)
+        assert len(peaks) == 1
+        assert peaks[0] <= coeffs.nbytes + (k + 7 * (k + 3)) * rows + 256 * 1024
 
     @pytest.mark.parametrize("n_half", [4096, 16384])
     def test_in_place_case_peaks_at_its_storage_and_four_vectors(self, n_half):

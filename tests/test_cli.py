@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 from helpers import (
     OOM_TEXT,
+    markdown_cells,
     nan_load_problem,
     no_exact_problem,
     noncoercive_problem,
     starve_assembly,
 )
 
+import cuspfem.assembly
 import cuspfem.mesh
 import cuspfem.problem
 from cuspfem import (
@@ -189,6 +191,26 @@ class TestConvergeVerb:
         for row, error in zip(rows, errors):
             assert len(row) == len(CONVERGENCE_COLUMNS)
             assert row[CONVERGENCE_COLUMNS.index("error")] == error
+
+    def test_failed_row_keeps_the_markdown_columns(self, monkeypatch, capsys):
+        # a NaN residual at k = 2 fails the row with "max |Ax - b| = nan ..."
+        apply = cuspfem.assembly.apply_system
+
+        def nan_at_k2(system, x):
+            y = apply(system, x)
+            return np.full_like(y, np.nan) if system.order == 2 else y
+
+        monkeypatch.setattr(cuspfem.assembly, "apply_system", nan_at_k2)
+        assert main(["converge", *SWEEP, "--eps", "1e-6", "--format", "markdown"]) == 2
+        out, err = capsys.readouterr()
+        message = "residual contract violated: max |Ax - b| = nan is not finite"
+        assert err == f"row failure: {message}\n" * 2
+        header, _, *rows = (markdown_cells(line) for line in out.splitlines())
+        assert header == list(CONVERGENCE_COLUMNS) and len(rows) == 4
+        for row in rows:
+            assert len(row) == len(CONVERGENCE_COLUMNS)
+        escaped = message.replace("|", r"\|")
+        assert [row[header.index("error")] for row in rows] == ["", "", escaped, escaped]
 
     def test_out_of_memory_row_fails_and_the_others_print(self, monkeypatch, capsys):
         starve_assembly(monkeypatch, max_columns=33)  # N = 16 fits, N = 32 does not

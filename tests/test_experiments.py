@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 import sys
 import threading
@@ -7,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import OOM_TEXT, starve_assembly
+from helpers import OOM_TEXT, markdown_cells, starve_assembly
 
 import cuspfem.experiments
 import cuspfem.problem
@@ -259,6 +261,17 @@ class TestEmit:
         assert "4.10e-05" in text
         assert "1.023" in text
         assert text.splitlines()[1].startswith("|")
+
+    def test_markdown_escapes_pipes_and_joins_lines(self):
+        message = "max |Ax - b| = nan is not finite\nsecond line"
+        table = Table(("eps", "error", "N"), ((1e-6, message, 16), (1e-4, None, 32)))
+        header, rule, *rows = emit(table, "markdown").splitlines()
+        assert len(rows) == 2
+        for line in (header, rule, *rows):
+            assert len(markdown_cells(line)) == 3
+        assert markdown_cells(rows[0])[1] == r"max \|Ax - b\| = nan is not finite second line"
+        # CSV keeps the cell as it is, quoted for its newline
+        assert list(csv.reader(io.StringIO(emit(table, "csv"))))[1][1] == message
 
     def test_deterministic_and_file_output(self, tmp_path):
         rows = run_convergence(SweepConfig(**QUICK))
