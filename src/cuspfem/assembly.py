@@ -17,12 +17,7 @@ dominance can destroy diagonal dominance; LAPACK dgbsv) is followed by one
 step of fixed-precision iterative refinement: its residual applies the
 element operator block by block, with derivatives taken from each
 element's nodal values minus its first, and its correction reuses the LU
-factors.  Below k = IN_PLACE_ORDER the LU works on a Fortran-ordered copy
-of the bands, and the residual contract measures A x - b with the band
-matrix (dgbmv).  From IN_PLACE_ORDER on, assembly writes the bands into
-LAPACK's (3k+1, n) LU storage, the LU overwrites them (the solve consumes
-the system), and the contract measures b - A_elem x with the element
-operator.  ||A||_inf (dlangb) and dgbmv read the bands where they lie.
+factors.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ RESIDUAL_TOL = 1e-10
 BLOCK_ELEMENTS = 1024
 
 # order k from which assembly lays the bands out in LAPACK's LU storage and
-# solve_banded factors them in place (see solve_banded); from k = 5 on, the
+# solve_banded factors them in place (see LinearSystem); from k = 5 on, the
 # element residual that then replaces dgbmv in the contract measured no
 # dearer than the band copy, dlangb and dgbmv that it saves, and below dearer
 IN_PLACE_ORDER = 5
@@ -135,19 +130,23 @@ def _check_profile(stab: StabilizationProfile, mesh: Mesh) -> None:
 @dataclass(frozen=True)
 class LinearSystem:
     """
-    Banded system after Dirichlet elimination: dimension 2Nk-1, half-bandwidth k.
-    `bands` is LAPACK band storage, bands[k + i - j, j] = A[i, j], (2k+1, n).
-    Assembly returns it Fortran-ordered below k = IN_PLACE_ORDER, and from
-    IN_PLACE_ORDER on as the last 2k+1 rows of LAPACK's Fortran-ordered
-    (3k+1, n) LU storage, which `solve_banded` factors in place: solving
-    such a system consumes it, and its bands then hold LU factors.  Other
-    layouts work, but each BLAS/LAPACK call copies them.
+    Banded system after Dirichlet elimination: dimension n = 2Nk-1,
+    half-bandwidth k.  `storage` is the array that BLAS and LAPACK read,
+    in one of two shapes:
+    - (2k+1, n) band storage, storage[k + i - j, j] = A[i, j] (ku = k);
+    - (3k+1, n) LAPACK LU storage (ku = 2k): k zero fill rows above the
+      same 2k+1 rows.  `solve_banded` factors it in place, which consumes
+      the system: the storage then holds LU factors and is read-only, and
+      a second solve or `apply_system` is a ValueError.
+    Assembly returns Fortran-ordered band storage below k = IN_PLACE_ORDER
+    and Fortran-ordered LU storage from it on; other layouts work, but
+    each BLAS/LAPACK call copies them.  `bands` is the last 2k+1 rows.
     `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
     (None for Galerkin) define the element operator that `solve_banded`'s
     refinement step applies.
     """
 
-    bands: np.ndarray
+    storage: np.ndarray
     rhs: np.ndarray
     mesh: Mesh
     order: int
@@ -157,8 +156,19 @@ class LinearSystem:
     deltas: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.bands.setflags(write=False)
+        k, n, shape = self.order, self.rhs.size, self.storage.shape
+        if shape not in ((2 * k + 1, n), (3 * k + 1, n)):
+            raise ValueError(f"storage shape {shape} is not ({2 * k + 1} or {3 * k + 1}, {n})")
+        if shape[0] == 2 * k + 1:
+            self.storage.setflags(write=False)
         self.rhs.setflags(write=False)
+
+    @property
+    def bands(self) -> np.ndarray:
+        """The (2k+1, n) band rows of `storage`, read-only."""
+        bands = self.storage[-(2 * self.order + 1) :]
+        bands.setflags(write=False)
+        return bands
 
     @property
     def dimension(self) -> int:
@@ -357,11 +367,10 @@ def _assemble(
         raise ValueError(f"need quad_points >= k+1 = {k + 1}, got {quad_points}")
     tables = _element_tables(k, family, quad_points)
     nel = mesh.n_intervals
-    # from IN_PLACE_ORDER on, LAPACK's LU storage, which solve_banded
-    # factors in place: k zero rows for the fill-in above the bands
+    # from IN_PLACE_ORDER on, LAPACK's LU storage (see LinearSystem)
     rows = 3 * k + 1 if k >= IN_PLACE_ORDER else 2 * k + 1
-    bands = np.zeros((rows, nel * k + 1), order="F")[-(2 * k + 1) :]
-    rhs = np.zeros(nel * k + 1)
+    storage = np.zeros((rows, nel * k + 1), order="F")
+    bands, rhs = storage[-(2 * k + 1) :], np.zeros(nel * k + 1)
     for block in _blocks(mesh):
         _assemble_block(problem, block, k, tables, deltas, bands, rhs)
 
@@ -369,7 +378,7 @@ def _assemble(
     # ordered storage that is a column slice; the slots of eliminated rows
     # keep their values, and no reader looks there
     return LinearSystem(
-        bands[:, 1:-1], rhs[1:-1], mesh, k, family, problem, quad_points, deltas
+        storage[:, 1:-1], rhs[1:-1], mesh, k, family, problem, quad_points, deltas
     )
 
 
@@ -402,34 +411,24 @@ def assemble_sdfem(
     return _assemble(problem, mesh, k, family, quad_points or k + 3, stab.deltas)
 
 
-def _band_storage(system: LinearSystem) -> tuple[np.ndarray, int]:
-    """
-    The array and upper bandwidth that BLAS and LAPACK read as the band
-    matrix without a copy: assembly's (3k+1, n) LU storage with ku = 2k (its
-    k fill rows are zero until the solve) when `bands` are its last 2k+1
-    rows, else the bands with ku = k.  Storage that solve_banded has
-    factored is read-only and a ValueError here.
-    """
-    k, bands = system.order, system.bands
-    base = bands.base
-    if isinstance(base, np.ndarray) and base.shape == (3 * k + 1, bands.shape[1] + 2):
-        storage = base[:, 1:-1]
-        view = storage[k:]
-        if (view.ctypes.data, view.strides) == (bands.ctypes.data, bands.strides):
-            if not storage.flags.writeable:
-                raise ValueError("solve_banded consumed this system: its bands hold LU factors")
-            return storage, 2 * k
-    return bands, k
+def _upper_bandwidth(system: LinearSystem) -> int:
+    """ku of the system's storage, from its row count; LU storage that
+    solve_banded has factored (and set read-only) is a ValueError."""
+    k, storage = system.order, system.storage
+    if storage.shape[0] == 2 * k + 1:
+        return k
+    if not storage.flags.writeable:
+        raise ValueError("solve_banded consumed this system: its bands hold LU factors")
+    return 2 * k
 
 
 def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the eliminated (interior) matrix (BLAS dgbmv
-    on `_band_storage`); a system that solve_banded consumed is a ValueError."""
+    on `storage`); a system that solve_banded consumed is a ValueError."""
     n, k, x = system.dimension, system.order, np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x has shape {x.shape}; the system needs {n} entries")
-    ab, ku = _band_storage(system)
-    return blas.dgbmv(n, n, k, ku, 1.0, ab, x)
+    return blas.dgbmv(n, n, k, _upper_bandwidth(system), 1.0, system.storage, x)
 
 
 def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
@@ -483,19 +482,12 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     reuses the LU factors (dgbtrs).  Then verify the residual contract
     ||r|| / (||A|| ||x|| + ||b||) <= 1e-10 (inf norms, A the band matrix)
     at the refined x; the achieved value is recorded on the returned
-    function.
-
-    Below IN_PLACE_ORDER the LU works on a copy of the bands and r is
-    A x - b for the band matrix (dgbmv).  From IN_PLACE_ORDER on, assembly
-    lays the bands out in LAPACK's LU storage and the LU overwrites them:
-    the solve consumes the system, whose bands then hold LU factors, and
-    a second solve_banded or apply_system on it is a ValueError.  There r
-    is b - A_elem x for the element operator, as the refinement step
-    forms it.  A LinearSystem built from bands held any other way keeps
-    the copy.
+    function.  On band storage the LU works on a copy and r is A x - b
+    for the band matrix (dgbmv); LU storage it consumes, and there r is
+    b - A_elem x for the element operator, as the refinement step forms it.
     """
-    k, n, rhs = system.order, system.dimension, system.rhs
-    ab, ku = _band_storage(system)
+    k, n, rhs, ab = system.order, system.dimension, system.rhs, system.storage
+    ku = _upper_bandwidth(system)
     in_place = ku == 2 * k
     norm_a = lapack.dlangb("I", k, ku, ab)
     norm_b = np.max(np.abs(rhs), initial=0.0)
@@ -503,7 +495,7 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
         raise SolverError("banded LU failed: array must not contain infs or NaNs")
     if not in_place:  # k rows for the fill-in, which dgbsv's contract lets be unset
         ab = np.empty((3 * k + 1, n), order="F")
-        ab[k:] = system.bands
+        ab[k:] = system.storage
     # dgbsv (banded LU with partial pivoting) on Fortran-ordered storage,
     # and in place on the interior of the nodal coefficients, whose
     # boundary entries stay 0
@@ -512,7 +504,7 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     sol[:] = rhs
     lu, piv, _, info = lapack.dgbsv(k, k, ab, sol, overwrite_ab=1, overwrite_b=1)
     if in_place:
-        ab.base.setflags(write=False)
+        system.storage.setflags(write=False)
     if info > 0:
         raise SolverError("banded LU failed: singular matrix")
     if not np.all(np.isfinite(sol)):

@@ -186,8 +186,9 @@ def validate_mesh(mesh: Mesh) -> MeshDiagnostics:
     bounds = _decade_bounds(big_k)
     for d in range(big_k + 1):
         lo, hi = bounds[d], bounds[d + 1]
+        # every lo is >= 0, so this checks the right half, which mirrors the left
         inside = (nodes[:-1] >= lo) & (nodes[1:] <= hi + 2 * np.spacing(hi))
-        sel = lengths[inside & (nodes[:-1] >= 0.0)]
+        sel = lengths[inside]
         if sel.size and np.ptp(sel) > 4.0 * np.spacing(hi):
             bad.append(f"decade ({lo}, {hi}] not equidistant (spread {np.ptp(sel):.3e})")
 

@@ -46,9 +46,10 @@ class Problem:
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if np.min(self.coeff_b(_VALIDATION_GRID)) <= 0.0:
+        # each check is written so that NaN fails it
+        if not np.min(self.coeff_b(_VALIDATION_GRID)) > 0.0:
             raise ValueError("coefficient b must be positive on [-1, 1]")
-        if np.min(self.coeff_c(_VALIDATION_GRID)) < 0.0 or self.coeff_c(_ORIGIN)[0] <= 0.0:
+        if not (np.min(self.coeff_c(_VALIDATION_GRID)) >= 0.0 and self.coeff_c(_ORIGIN)[0] > 0.0):
             raise ValueError("need c >= 0 on [-1, 1] and c(0) > 0")
         if (self.exact is None) != (self.exact_dx is None):
             raise ValueError("register the exact solution with both u and u'")
@@ -187,8 +188,8 @@ def gamma_estimate(problem: Problem) -> float:
     i = int(np.argmin(g(x)))
     x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, 2000)], 2001)
     gamma = float(np.min(g(x)))
-    if gamma <= 0.0:
-        raise ValueError(f"coercivity condition violated: min(c - a'/2) = {gamma} <= 0")
+    if not gamma > 0.0:  # NaN too
+        raise ValueError(f"coercivity condition violated: min(c - a'/2) = {gamma} is not positive")
     return gamma
 
 

@@ -86,6 +86,14 @@ def nan_load_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
     return replace(base, rhs_f=lambda x: np.where((x > 0.2) & (x < 0.3), np.nan, f(x)))
 
 
+def nan_coefficient_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
+    """The manufactured problem with c = NaN at x = 0.5, a point of the
+    validation grid and of every mesh; also a registry factory."""
+    base = make_test_problem(eps, lam)
+    c = base.coeff_c
+    return replace(base, coeff_c=lambda x: np.where(x == 0.5, np.nan, c(x)))
+
+
 def no_exact_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
     """The manufactured problem's data without its exact solution; also a
     registry factory."""

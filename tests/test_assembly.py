@@ -50,10 +50,10 @@ from cuspfem.assembly import (
     IN_PLACE_ORDER,
     _add_local,
     _assemble_block,
-    _band_storage,
     _blocks,
     _element_residual,
     _element_tables,
+    _upper_bandwidth,
     _windows,
 )
 
@@ -208,6 +208,17 @@ class TestSystemStructure:
         assert system.bands.shape == (2 * k + 1, 2 * n * k - 1)
         assert system.rhs.shape == (2 * n * k - 1,)
 
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_storage_of_another_shape_is_rejected(self, k):
+        # only (2k+1, n) band storage and (3k+1, n) LU storage; at k = 1
+        # 2k + 2 rows would be LU storage
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
+        n = 2 * 8 * k - 1
+        for shape in [(2 * k, n), (2 * k + 2, n), (2 * k + 1, n + 1)]:
+            with pytest.raises(ValueError, match="storage shape"):
+                LinearSystem(np.zeros(shape, order="F"), np.ones(n), mesh, k, "uniform", prob)
+
     def test_quadrature_minimum_enforced(self):
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, 3, 0.25))
@@ -232,7 +243,7 @@ class TestSystemStructure:
             system = assemble_galerkin(prob, mesh, k)
         else:
             system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, 1e-4))
-        c_ordered = dataclasses.replace(system, bands=np.ascontiguousarray(system.bands))
+        c_ordered = dataclasses.replace(system, storage=np.ascontiguousarray(system.bands))
         assert c_ordered.bands.flags.c_contiguous and not c_ordered.bands.flags.f_contiguous
         dense = bands_to_dense(system)
         rng = np.random.default_rng(4)
@@ -464,7 +475,7 @@ class TestSolver:
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 16, 2, 0.25))
         system = assemble_galerkin(prob, mesh, 2)
-        scaled = dataclasses.replace(system, bands=np.asfortranarray(system.bands * (1 + 1e-6)))
+        scaled = dataclasses.replace(system, storage=np.asfortranarray(system.bands * (1 + 1e-6)))
         with pytest.raises(SolverError, match="residual contract violated"):
             solve_banded(scaled)
 
@@ -535,8 +546,8 @@ class TestSolver:
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 16, k, 0.25))
         system = assemble_galerkin(prob, mesh, k)
-        storage, ku = _band_storage(system)
-        assert ku == 2 * k and storage.shape == (3 * k + 1, system.dimension)
+        storage = system.storage
+        assert _upper_bandwidth(system) == 2 * k and storage.shape == (3 * k + 1, system.dimension)
         storage *= 1.5
         with pytest.raises(SolverError, match="residual contract violated"):
             solve_banded(system)
@@ -548,7 +559,7 @@ class TestSolver:
         system = assemble_galerkin(prob, mesh, k)
         # bands held any other way keep the copy, and so do the assembled
         # bands below IN_PLACE_ORDER
-        copied = dataclasses.replace(system, bands=system.bands.copy())
+        copied = dataclasses.replace(system, storage=system.bands.copy())
         sharing = dataclasses.replace(system, rhs=system.rhs * 2)
         x = np.ones(system.dimension)
         first = solve_banded(system)
@@ -572,7 +583,7 @@ class TestSolver:
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
         system = assemble_galerkin(prob, mesh, k)
-        _band_storage(system)[0][:] = 0.0
+        system.storage[:] = 0.0
         with pytest.raises(SolverError, match="singular"):
             solve_banded(system)
         with pytest.raises(ValueError, match="consumed"):
@@ -810,7 +821,7 @@ class TestWorkingMemory:
             assemble_galerkin(prob, mesh, k),
             assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps)),
         ):
-            assert _band_storage(system)[0].flags.f_contiguous
+            assert system.storage.flags.f_contiguous
             _, peak = traced_peak(apply_system, system, x)
             assert peak <= x.nbytes + 16 * 1024
 

@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     OOM_TEXT,
     markdown_cells,
+    nan_coefficient_problem,
     nan_load_problem,
     no_exact_problem,
     noncoercive_problem,
@@ -443,6 +444,17 @@ def test_noncoercive_problem_fails_on_every_run(monkeypatch, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "coercivity" in err
+
+
+def test_nan_coefficient_is_a_config_error(monkeypatch, capsys):
+    # c = NaN at x = 0.5 once gave a NaN delta cap, and every row failed
+    # in the banded LU with "array must not contain infs or NaNs"
+    monkeypatch.setitem(cuspfem.problem._REGISTRY, "nan-c-probe", nan_coefficient_problem)
+    argv = ["solve", "--problem", "nan-c-probe", "--eps", "1e-4", "--n", "16", "--k", "2",
+            "--method", "sdfem", "--delta-policy", "theorem-capped"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "row failure" not in err
 
 
 def test_theorem_capped_sweep_csv_does_not_depend_on_workers(capsys):

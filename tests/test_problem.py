@@ -190,6 +190,18 @@ class TestProblemValidation:
                 rhs_f=lambda x: np.zeros_like(x),
             )
 
+    @pytest.mark.parametrize("name", ["coeff_b", "coeff_c"])
+    def test_nan_coefficient_rejected(self, name):
+        # NaN at x = 0.5, a point of the validation grid, fails the sign checks
+        data = {
+            "coeff_b": lambda x: np.ones_like(x),
+            "coeff_c": lambda x: np.ones_like(x),
+            name: lambda x: np.where(x == 0.5, np.nan, 1.0),
+        }
+        message = {"coeff_b": "b must be positive", "coeff_c": "need c >= 0"}[name]
+        with pytest.raises(ValueError, match=message):
+            Problem(eps=1e-4, rhs_f=lambda x: np.zeros_like(x), **data)
+
     def test_partial_exact_triple_rejected(self):
         # u and u' come together
         for part in ("exact", "exact_dx"):
@@ -272,6 +284,18 @@ class TestGammaEstimate:
         )
         assert run_python(code).splitlines()[-1] == "[]"
         assert (tmp_path / "solve.csv").exists()
+
+    def test_nan_off_the_validation_grid_raises(self):
+        # c is NaN on (5e-4, 1.5e-3): no point of the 257-point validation
+        # grid (0 and 1/128 are its nearest), but x = 0.001 of gamma's grid
+        prob = Problem(
+            eps=1e-4,
+            coeff_b=lambda x: np.ones_like(x),
+            coeff_c=lambda x: np.where((x > 5e-4) & (x < 1.5e-3), np.nan, 1.0),
+            rhs_f=lambda x: np.zeros_like(x),
+        )
+        with pytest.raises(ValueError, match="coercivity condition violated: .* nan"):
+            gamma_estimate(prob)
 
     def test_noncoercive_problem_raises(self):
         with pytest.raises(ValueError, match="coercivity"):
