@@ -2,9 +2,10 @@
 Streamline-diffusion stabilization and supercloseness.
 
 SDFEM adds delta_i (-eps v'' + a v' + c v, a w')_i element by element.  The
-standard deltas are min(h^2/eps, h); the theorem-capped policy additionally
-clamps them by the constants under which coercivity of the stabilized form
-is guaranteed.  The payoff is supercloseness: the SD-distance between the
+standard deltas are min(h^2/eps, h), for k >= 2 capped by the inverse-inequality
+bound h^2/(eps c_inv^2); the theorem-capped policy instead clamps min(h^2/eps, h)
+by the constants under which coercivity of the stabilized form is proved
+(half that bound, and gamma/(2 ||c||^2)).  The payoff is supercloseness: the SD-distance between the
 interpolant and the discrete solution decays a full order faster than the
 error itself, here ~N^-2 against the ~N^-1 energy error for P1.
 """

@@ -4,10 +4,13 @@ Plugging in a custom problem.
 Any -eps u'' + a u' + c u = f with a = -x b(x), b > 0, c >= 0, c(0) > 0
 fits the solver.  A Problem takes eps, b, c and f; the drift a = -x b
 (Problem.coeff_a) and the layer strength lambda_bar = c(0)/b(0) are
-computed from them, and a' is differenced from a where the theorem-capped
-deltas need it.  Providing the exact solution and its derivative (u, u')
-unlocks the error norms; registering a factory under a name makes the
-problem selectable from the CLI via --problem.
+computed from them.  Making a Problem also checks coercivity,
+gamma = min(c - a'/2) > 0 with a' differenced from a, whatever the method,
+and keeps gamma/(2 ||c||^2) for the theorem-capped deltas.  Providing the
+exact solution and its derivative (u, u') unlocks the error norms;
+registering a factory under a name makes the problem selectable from the
+CLI via --problem.  A factory may ignore lam, but a run whose mesh lambda
+(--lambda) exceeds the problem's lambda_bar is a config error.
 
 Here: b = 1 (so a = -x and lambda_bar = 1), c = 1 and the manufactured solution u = 1 - x^2, which lies
 in every P_k space with k >= 2, so the k = 2 solver reproduces it to

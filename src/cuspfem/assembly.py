@@ -66,7 +66,7 @@ class StabilizationProfile:
     """Per-interval SDFEM parameters delta_i >= 0."""
 
     deltas: np.ndarray
-    caps_applied: np.ndarray  # True where a theorem cap reduced the standard value
+    caps_applied: np.ndarray  # True where a cap reduced c0 min(h^2/eps, h)
 
     def __post_init__(self):
         self.deltas.setflags(write=False)
@@ -85,31 +85,41 @@ def compute_deltas(
     k: Optional[int] = None,
 ) -> StabilizationProfile:
     """
-    Standard policy: delta_i = c0 * min(h_i^2/eps, h_i).
+    Standard policy: delta_i = c0 min(h_i^2/eps, h_i), and for k >= 2 at most
+    h_i^2/(eps c_inv^2), the inverse-inequality cap without which the SD form
+    of order k is not coercive.
 
-    Theorem-capped additionally clamps by gamma/(2 ||c||_inf^2) for every k,
-    by h_i^2/(2 eps c_inv^2) for k >= 2, and by (K+1)/N for k = 1; these are
+    Theorem-capped instead clamps c0 min(h_i^2/eps, h_i) by
+    gamma/(2 ||c||_inf^2) (`problem.delta_cap`) for every k, by
+    h_i^2/(2 eps c_inv^2) for k >= 2, and by (K+1)/N for k = 1; these are
     the constraints under which coercivity and the supercloseness bound are
-    proved.  Needs `problem` and `k`; the first cap is `problem.delta_cap`,
-    which each Problem object estimates once.
+    proved, so it needs `problem`.  k defaults to the mesh's order.
     """
     if not 0.0 < c0 < np.inf:
         raise ValueError(f"c0 must be positive and finite, got {c0}")
     if policy not in DELTA_POLICIES:
         raise ValueError(f"unknown delta policy {policy!r}; expected one of {DELTA_POLICIES}")
+    k = mesh.params.order if k is None else k
     # each formula's operations in its order, in place: one array of
     # working memory beyond the output
     h = mesh.lengths
     deltas = h * h
     deltas /= eps
+    if policy == "standard":
+        # min(c0 h^2/eps, c0 h, h^2/(eps c_inv^2)) = c0 min(scale h^2/eps, h)
+        # with scale = min(1, 1/(c0 c_inv^2)): the cap needs no array
+        caps = np.zeros(h.size, dtype=bool)
+        scale = 1.0 if k == 1 else min(1.0, 1.0 / (c0 * estimate_c_inv(k) ** 2))
+        if scale < 1.0:
+            deltas *= scale
+            np.less(deltas, h, out=caps)
+        np.minimum(deltas, h, out=deltas)
+        deltas *= c0
+        return StabilizationProfile(deltas, caps)
+    if problem is None:
+        raise ValueError("theorem-capped policy needs a problem")
     np.minimum(deltas, h, out=deltas)
     deltas *= c0
-    if policy == "standard":
-        return StabilizationProfile(deltas, np.zeros(h.size, dtype=bool))
-    if problem is None or k is None:
-        raise ValueError("theorem-capped policy needs problem and k")
-    # a fresh problem estimates its cap here, before the cap array exists
-    coercivity_cap = problem.delta_cap
     cap = h * h
     if k >= 2:
         c_inv = estimate_c_inv(k)
@@ -117,7 +127,7 @@ def compute_deltas(
     else:
         cap /= eps
         np.minimum(cap, (mesh.big_k + 1) / mesh.params.n_half, out=cap)
-    np.minimum(cap, coercivity_cap, out=cap)
+    np.minimum(cap, problem.delta_cap, out=cap)
     np.minimum(deltas, cap, out=cap)
     return StabilizationProfile(cap, cap < deltas)
 
@@ -139,8 +149,10 @@ class LinearSystem:
       the system: the storage then holds LU factors and is read-only, and
       a second solve or `apply_system` is a ValueError.
     Assembly returns Fortran-ordered band storage below k = IN_PLACE_ORDER
-    and Fortran-ordered LU storage from it on; other layouts work, but
-    each BLAS/LAPACK call copies them.  `bands` is the last 2k+1 rows.
+    and Fortran-ordered LU storage from it on.  Band storage of another
+    layout works, but each BLAS/LAPACK call copies it; LU storage must be
+    Fortran-contiguous, or LAPACK would factor a copy and leave the
+    storage looking consumed.  `bands` is the last 2k+1 rows.
     `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
     (None for Galerkin) define the element operator that `solve_banded`'s
     refinement step applies.
@@ -161,6 +173,8 @@ class LinearSystem:
             raise ValueError(f"storage shape {shape} is not ({2 * k + 1} or {3 * k + 1}, {n})")
         if shape[0] == 2 * k + 1:
             self.storage.setflags(write=False)
+        elif not self.storage.flags.f_contiguous:
+            raise ValueError("(3k+1, n) LU storage must be Fortran-contiguous")
         self.rhs.setflags(write=False)
 
     @property

@@ -3,8 +3,9 @@ Sweep engine and command-line interface.
 
 Reproduces the standard experiment layouts: convergence tables with rates
 r = (ln E_N - ln E_2N)/ln 2, eps-sweeps over many perturbation parameters,
-error-to-bound ratio tables energy * 100 * (N/(K+1))^k, and point samplers
-of solution/error curves for external plotting.
+error-to-bound ratio tables E * 100 * (N/(K+1))^k with E the method's norm
+(energy for Galerkin, SD for SDFEM), and point samplers of solution/error
+curves for external plotting.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .norms import NORM_NAMES, QuadSpec, error_norms
 from .problem import make_problem, problem_names
 
 METHODS = ("fem", "sdfem")
+# the norm of each method's eps-uniform error bound
+_BOUND_NORMS = {"fem": "energy", "sdfem": "sd"}
 FORMATS = ("csv", "markdown")
 
 # one case's failures: a row's error in `_run_case`, exit 2 in `main` for mesh
@@ -101,6 +104,19 @@ class Table:
     rows: tuple[tuple, ...]
 
 
+def _make_problem(config: SweepConfig, eps: float):
+    """The config's problem at eps.  The mesh's sigma assumes a layer
+    exponent lambda_bar of at least the mesh's lambda; above it (by more
+    than a few ulps) the theory's hypotheses fail, so that is an error."""
+    prob = make_problem(config.problem, eps, config.lam)
+    if config.lam > prob.lambda_bar + 4 * math.ulp(prob.lambda_bar):
+        raise ValueError(
+            f"mesh lambda {config.lam} exceeds the problem's lambda_bar = c(0)/b(0) = "
+            f"{prob.lambda_bar}"
+        )
+    return prob
+
+
 def convergence_rate(e_coarse: float, e_fine: float) -> float:
     """r = (ln E_N - ln E_2N) / ln 2 from full-precision errors."""
     if not (e_coarse > 0.0 and e_fine > 0.0) or not (
@@ -156,12 +172,10 @@ def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
     Solve every (eps, k, N) case and attach rates between consecutive
     doubled N within each (eps, k) group.  Per-case failures land in the
     row's `error` field and leave the other rows untouched.  Each eps's
-    Problem is made before any case runs and shared by its cases, so its
-    delta cap constant is estimated once per run.
+    Problem is made, and its lambda_bar checked, before any case runs and
+    shared by its cases.
     """
-    problems = {
-        eps: make_problem(config.problem, eps, config.lam) for eps in dict.fromkeys(config.eps_list)
-    }
+    problems = {eps: _make_problem(config, eps) for eps in dict.fromkeys(config.eps_list)}
     cases = [
         (config, problems[eps], eps, n, k)
         for eps in config.eps_list for k in config.k_list for n in config.n_list
@@ -189,20 +203,21 @@ def convergence_table(rows: list[ConvergenceRow]) -> Table:
     return Table(CONVERGENCE_COLUMNS, tuple(astuple(r) for r in rows))
 
 
-def ratio_table(rows: list[ConvergenceRow]) -> Table:
+def ratio_table(rows: list[ConvergenceRow], norm: str = "energy") -> Table:
     """
-    Energy error scaled by the predicted decay: entries
-    energy * 100 * (N/(K+1))^k.  Stable entries across N indicate the
-    predicted rate is sharp.
+    The error in `norm` (a column of the rows, named so in the table)
+    scaled by the predicted decay: entries E * 100 * (N/(K+1))^k.  Stable
+    entries across N indicate the predicted rate is sharp.
     """
     data = []
     for r in rows:
+        error = getattr(r, norm)
         if r.error is None:
-            ratio = r.energy * 100.0 * (r.n_half / (r.big_k + 1)) ** r.order
+            ratio = error * 100.0 * (r.n_half / (r.big_k + 1)) ** r.order
         else:
             ratio = math.nan
-        data.append((r.eps, r.n_half, r.big_k, r.order, r.energy, ratio, r.error))
-    return Table(("eps", "N", "K", "k", "energy", "ratio", "error"), tuple(data))
+        data.append((r.eps, r.n_half, r.big_k, r.order, error, ratio, r.error))
+    return Table(("eps", "N", "K", "k", norm, "ratio", "error"), tuple(data))
 
 
 def sample_solution(config: SweepConfig, resolution: int = 1001) -> Table:
@@ -213,7 +228,7 @@ def sample_solution(config: SweepConfig, resolution: int = 1001) -> Table:
     eps, n, k = _require_single(config, "sample")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    prob = make_problem(config.problem, eps, config.lam)
+    prob = _make_problem(config, eps)
     if not prob.has_exact:
         raise ValueError("sample_solution needs a problem with exact solution")
     mesh = build_mesh(MeshParams(eps, n, k, config.lam))
@@ -352,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("solve", "solve one case and report its error norms"),
         ("converge", "convergence table with rates over an N sweep"),
         ("eps-sweep", "error table over a grid of eps values"),
-        ("ratio", "scaled-error ratio table energy*100*(N/(K+1))^k"),
+        ("ratio", "scaled-error ratio table E*100*(N/(K+1))^k, E in the method's norm"),
         ("sample", "sample discrete/exact solution for plotting"),
     )
     for name, help_text in specs:
@@ -423,10 +438,11 @@ def _print_table(args: argparse.Namespace, table: Table, failures=()) -> int:
 
 def _layout(verb: str, config: SweepConfig, rows: list[ConvergenceRow]) -> Table:
     """The table that a row verb prints for the rows of `run_convergence`."""
+    norm = _BOUND_NORMS[config.method]
     if verb == "converge":
         return convergence_table(rows)
     if verb == "ratio":
-        return ratio_table(rows)
+        return ratio_table(rows, norm)
     if verb == "solve":
         policy = config.delta_policy if config.method == "sdfem" else "none"
         return Table(
@@ -438,7 +454,6 @@ def _layout(verb: str, config: SweepConfig, rows: list[ConvergenceRow]) -> Table
             ),
         )
     # eps-sweep: one line per eps and one column per (k, N), the order of the rows
-    norm = "sd" if config.method == "sdfem" else "energy"
     columns = ("eps",) + tuple(f"k{k}_n{n}" for k in config.k_list for n in config.n_list)
     width = len(columns) - 1
     data = tuple(

@@ -10,7 +10,7 @@ correction, plus a registry for CLI selection of user-defined problems.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,9 +20,7 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 _VALIDATION_GRID = np.linspace(-1.0, 1.0, 257)
 _ORIGIN = np.array([0.0])
-
-# lets threads that share a Problem estimate its delta cap once
-_DELTA_CAP_LOCK = threading.Lock()
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -34,6 +32,10 @@ class Problem:
     c(0)/|a'(0)| = c(0)/b(0) follow from b and c.  exact and exact_dx
     optionally hold the solution and its derivative, which the error norms
     need.
+
+    Making one checks b > 0, c >= 0, c(0) > 0 and coercivity (`gamma_estimate`),
+    and sets the attribute `delta_cap` = gamma/(2 ||c||_inf^2), the cap on every
+    theorem-capped delta; not being a field, it leaves eq, hash and repr alone.
     """
 
     eps: float
@@ -53,6 +55,15 @@ class Problem:
             raise ValueError("need c >= 0 on [-1, 1] and c(0) > 0")
         if (self.exact is None) != (self.exact_dx is None):
             raise ValueError("register the exact solution with both u and u'")
+        gamma = gamma_estimate(self)
+        c_inf = float(np.max(self.coeff_c(np.linspace(-1.0, 1.0, 4097))))
+        if not c_inf < math.inf:  # NaN too
+            raise ValueError(f"coefficient c must be finite on [-1, 1], got max(c) = {c_inf}")
+        # 2 ||c||^2 leaves the normal range for ||c|| outside about
+        # 1e-154 .. 1e154; the quotient then takes one rounding more
+        square = 2.0 * c_inf * c_inf
+        cap = gamma / square if _TINY <= square < math.inf else gamma / (2.0 * c_inf) / c_inf
+        object.__setattr__(self, "delta_cap", cap)
 
     def coeff_a(self, x: np.ndarray) -> np.ndarray:
         """The drift a(x) = -x b(x)."""
@@ -66,18 +77,6 @@ class Problem:
     @property
     def has_exact(self) -> bool:
         return self.exact is not None
-
-    @property
-    def delta_cap(self) -> float:
-        """gamma/(2 ||c||_inf^2), the coercivity cap on every theorem-capped
-        delta.  Estimated on first access and kept on this object; a failed
-        estimate is not kept."""
-        with _DELTA_CAP_LOCK:
-            if "_delta_cap" not in self.__dict__:
-                gamma = gamma_estimate(self)
-                c_inf = float(np.max(self.coeff_c(np.linspace(-1.0, 1.0, 4097))))
-                object.__setattr__(self, "_delta_cap", gamma / (2.0 * c_inf * c_inf))
-            return self._delta_cap
 
 
 def make_test_problem(eps: float, lam: float) -> Problem:

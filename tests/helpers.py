@@ -51,11 +51,13 @@ def patch_problem(eps: float = 1.0, degree: int = 2) -> Problem:
     )
 
 
-def near_zero_coefficient_problem(eps: float = 1.0) -> Problem:
+def near_zero_coefficient_problem(eps: float = 1.0, lam: float = 1.0) -> Problem:
     """
     Effectively pure-diffusion data: b and c are positive but so small
-    (1e-280) that convection and reaction are negligible, f = 0.  Used to
-    probe the eps-weighted stiffness part of the assembled matrix.
+    (1e-280) that convection and reaction are negligible, f = 0, so the
+    exact solution is u = 0.  Used to probe the eps-weighted stiffness part
+    of the assembled matrix.  `lam` is ignored (lambda_bar is 1), so the
+    function is also a registry factory.
     """
     tiny = 1e-280
     return Problem(
@@ -63,6 +65,8 @@ def near_zero_coefficient_problem(eps: float = 1.0) -> Problem:
         coeff_b=lambda x: np.full_like(x, tiny),
         coeff_c=lambda x: np.full_like(x, tiny),
         rhs_f=lambda x: np.zeros_like(x),
+        exact=lambda x: np.zeros_like(x),
+        exact_dx=lambda x: np.zeros_like(x),
     )
 
 

@@ -80,6 +80,24 @@ class TestComputeDeltas:
         assert min(0.01 ** 2 / 1.0, 0.01) == 1e-4
         assert min(0.01 ** 2 / 1e-6, 0.01) == 0.01
 
+    @pytest.mark.parametrize("c0", [1.0, 0.3, 0.05])
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-6])
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_standard_takes_the_inverse_inequality_cap_from_k_2(self, k, eps, c0):
+        # delta = min(c0 min(h^2/eps, h), h^2/(eps c_inv^2)), with k from the
+        # mesh when it is not passed; caps_applied marks where the cap bites
+        mesh = build_mesh(MeshParams(eps, 64, k, 0.25))
+        h, c_inv = mesh.lengths, estimate_c_inv(k)
+        uncapped = c0 * np.minimum(h * h / eps, h)
+        cap = h * h / (eps * c_inv * c_inv)
+        stab = compute_deltas(mesh, eps, c0)
+        np.testing.assert_allclose(stab.deltas, np.minimum(uncapped, cap), rtol=1e-15, atol=0)
+        assert np.array_equal(stab.caps_applied, cap < uncapped * (1 - 1e-14))
+        if eps == 1.0:  # h^2/eps < h everywhere: the cap bites on every element or none
+            assert stab.caps_applied.all() == (c0 * c_inv * c_inv > 1.0)
+        explicit = compute_deltas(mesh, eps, c0, "standard", None, k)
+        assert np.array_equal(explicit.deltas, stab.deltas)
+
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError, match="stabilization parameters must be nonnegative"):
             StabilizationProfile(np.array([0.1, -1e-3]), np.zeros(2, dtype=bool))
@@ -147,18 +165,24 @@ class TestComputeDeltas:
         mesh = build_mesh(MeshParams(eps, 1000, k, 0.25))
         h = mesh.lengths
         for c0 in (1.0, 0.3):
-            standard = c0 * np.minimum(h * h / eps, h)
+            uncapped = c0 * np.minimum(h * h / eps, h)
+            # standard: for k >= 2 the cap h^2/(eps c_inv^2) is the factor
+            # min(1, 1/(c0 c_inv^2)) on the h^2/eps branch
+            scale = 1.0 if k == 1 else min(1.0, 1.0 / (c0 * estimate_c_inv(k) ** 2))
+            standard = c0 * np.minimum(h * h / eps * scale, h)
+            standard_caps = h * h / eps * scale < h if scale < 1.0 else np.zeros(h.size, bool)
             if k >= 2:
                 c_inv = estimate_c_inv(k)
                 cap = h * h / (2.0 * eps * c_inv * c_inv)
             else:
                 cap = np.minimum(h * h / eps, (mesh.big_k + 1) / mesh.params.n_half)
-            capped = np.minimum(standard, np.minimum(cap, prob.delta_cap))
+            capped = np.minimum(uncapped, np.minimum(cap, prob.delta_cap))
             stab = compute_deltas(mesh, eps, c0)
-            assert np.array_equal(stab.deltas, standard) and not stab.caps_applied.any()
+            assert np.array_equal(stab.deltas, standard)
+            assert np.array_equal(stab.caps_applied, standard_caps)
             stab = compute_deltas(mesh, eps, c0, "theorem-capped", prob, k)
             assert np.array_equal(stab.deltas, capped)
-            assert np.array_equal(stab.caps_applied, capped < standard)
+            assert np.array_equal(stab.caps_applied, capped < uncapped)
 
     def test_cap_constant_kept_per_problem_object(self):
         # an unhashable evaluator is fine, and the constant goes with its Problem
@@ -172,9 +196,10 @@ class TestComputeDeltas:
         eps = 1e-6
         base = make_test_problem(eps, 0.25)
         prob = Problem(eps, base.coeff_b, Reaction(0.25), base.rhs_f)
+        # the constant is known as soon as the Problem is made
+        assert prob.delta_cap == base.delta_cap
         mesh = build_mesh(MeshParams(eps, 64, 1, 0.25))
         stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=1)
-        assert "_delta_cap" in vars(prob)
         fresh = compute_deltas(mesh, eps, policy="theorem-capped", problem=base, k=1)
         assert np.array_equal(stab.deltas, fresh.deltas)
         # nothing outside the Problem keeps it alive
@@ -218,6 +243,18 @@ class TestSystemStructure:
         for shape in [(2 * k, n), (2 * k + 2, n), (2 * k + 1, n + 1)]:
             with pytest.raises(ValueError, match="storage shape"):
                 LinearSystem(np.zeros(shape, order="F"), np.ones(n), mesh, k, "uniform", prob)
+
+    def test_lu_storage_must_be_fortran_ordered(self):
+        # LAPACK would factor a copy of C-ordered LU storage, and the solve
+        # would then mark the untouched original consumed
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 8, 8, 0.25))
+        system = assemble_galerkin(prob, mesh, 8)
+        assert system.storage.shape[0] == 3 * 8 + 1
+        with pytest.raises(ValueError, match="Fortran-contiguous"):
+            dataclasses.replace(system, storage=np.ascontiguousarray(system.storage))
+        # band storage of any layout is still accepted
+        dataclasses.replace(system, storage=np.ascontiguousarray(system.bands))
 
     def test_quadrature_minimum_enforced(self):
         prob = make_test_problem(1e-4, 0.25)

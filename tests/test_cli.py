@@ -18,8 +18,10 @@ from helpers import (
     markdown_cells,
     nan_coefficient_problem,
     nan_load_problem,
+    near_zero_coefficient_problem,
     no_exact_problem,
     noncoercive_problem,
+    patch_problem,
     starve_assembly,
 )
 
@@ -242,6 +244,21 @@ class TestOtherVerbs:
         assert lines[0] == "eps,N,K,k,energy,ratio,error"
         assert len(lines) == 3
 
+    def test_ratio_of_sdfem_scales_the_sd_norm(self, capsys):
+        # the paper's SDFEM bound is in the SD norm, which eps-sweep reports too
+        argv = ["ratio", "--lambda", "0.25", "--eps", "1e-6", "--n", "64,128", "--k", "2",
+                "--method", "sdfem"]
+        assert main(argv) == 0
+        config = SweepConfig(
+            lam=0.25, eps_list=(1e-6,), n_list=(64, 128), k_list=(2,), method="sdfem"
+        )
+        rows = run_convergence(config)
+        table = ratio_table(rows, "sd")
+        assert table.columns == ("eps", "N", "K", "k", "sd", "ratio", "error")
+        for r, row in zip(rows, table.rows):
+            assert row[4] == r.sd and row[5] == r.sd * 100.0 * (r.n_half / (r.big_k + 1)) ** 2
+        _assert_csv_equals(capsys.readouterr().out, table)
+
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
     def test_ratio_of_a_failed_row_is_nan(self, fmt, capsys):
         argv = ["ratio", "--lambda", "0.005", "--eps", "1e-30", "--n", "4,64", "--k", "2"]
@@ -436,7 +453,7 @@ def test_invalid_setting_is_a_config_error(argv, capsys):
 
 
 def test_noncoercive_problem_fails_on_every_run(monkeypatch, capsys):
-    # a failed gamma estimate is not kept: the second run estimates and fails again
+    # no Problem is kept between runs: the second run makes it, and fails, again
     monkeypatch.setitem(cuspfem.problem._REGISTRY, "noncoercive-probe", noncoercive_problem)
     argv = ["eps-sweep", "--problem", "noncoercive-probe", "--method", "sdfem",
             "--delta-policy", "theorem-capped", "--eps", "1e-4,1e-6", "--n", "16", "--k", "1,2"]
@@ -444,6 +461,50 @@ def test_noncoercive_problem_fails_on_every_run(monkeypatch, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "coercivity" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--method", "fem"],
+        ["solve", "--method", "sdfem"],
+        ["sample", "--method", "fem"],
+    ],
+    ids=["galerkin", "standard-sdfem", "sample"],
+)
+def test_noncoercive_problem_is_a_config_error_for_every_method(argv, monkeypatch, capsys):
+    # gamma > 0 is checked when the Problem is made, not only for theorem-capped deltas
+    monkeypatch.setitem(cuspfem.problem._REGISTRY, "noncoercive-probe", noncoercive_problem)
+    case = ["--problem", "noncoercive-probe", "--eps", "1e-4", "--n", "16", "--k", "2"]
+    assert main([*argv, *case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coercivity condition violated")
+
+
+def test_near_zero_coefficient_problem_solves_theorem_capped(monkeypatch, capsys):
+    # with b = c = 1e-280, 2 ||c||^2 underflows to 0, and the delta cap once
+    # divided by it: a ZeroDivisionError escaped main
+    monkeypatch.setitem(cuspfem.problem._REGISTRY, "near-zero-probe", near_zero_coefficient_problem)
+    argv = ["solve", "--problem", "near-zero-probe", "--eps", "1", "--lambda", "1", "--n", "16",
+            "--k", "2", "--method", "sdfem", "--delta-policy", "theorem-capped"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1].startswith("1,16,2,uniform,theorem-capped,")
+
+
+@pytest.mark.parametrize("verb", ["converge", "eps-sweep", "ratio", "solve", "sample"])
+def test_mesh_lambda_above_lambda_bar_is_a_config_error(verb, monkeypatch, capsys):
+    # the patch problem ignores --lambda: b = c = 1, so lambda_bar = 1
+    monkeypatch.setitem(cuspfem.problem._REGISTRY, "patch-probe", lambda eps, lam: patch_problem(eps))
+    case = ["--problem", "patch-probe", "--eps", "1e-4", "--n", "16", "--k", "2"]
+    assert main([verb, *case, "--lambda", "1.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: mesh lambda 1.5 exceeds the problem's lambda_bar = c(0)/b(0) = 1.0\n"
+    # lambda_bar itself, and a lambda within a few ulps above it, are fine
+    for lam in ("1", repr(1.0 + 2 ** -52)):
+        assert main([verb, *case, "--lambda", lam]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_nan_coefficient_is_a_config_error(monkeypatch, capsys):

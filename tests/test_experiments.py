@@ -126,9 +126,8 @@ class TestRunConvergence:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_gamma_estimated_once_per_eps_per_run(self, monkeypatch, frequent_switches, workers):
-        # with more threads than cores, two cases of one eps would both
-        # estimate gamma but for the one Problem per eps made before the cases
-        # and the lock around its delta cap
+        # one Problem per eps, made (and so its gamma estimated) in the calling
+        # thread before the cases, whatever the number of worker threads
         calls, profiles = [], []
         estimate, deltas = cuspfem.problem.gamma_estimate, cuspfem.experiments.compute_deltas
 

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import noncoercive_problem, run_python
+from helpers import near_zero_coefficient_problem, noncoercive_problem, run_python
 
 import cuspfem.problem
 from cuspfem import (
@@ -287,19 +287,19 @@ class TestGammaEstimate:
 
     def test_nan_off_the_validation_grid_raises(self):
         # c is NaN on (5e-4, 1.5e-3): no point of the 257-point validation
-        # grid (0 and 1/128 are its nearest), but x = 0.001 of gamma's grid
-        prob = Problem(
-            eps=1e-4,
-            coeff_b=lambda x: np.ones_like(x),
-            coeff_c=lambda x: np.where((x > 5e-4) & (x < 1.5e-3), np.nan, 1.0),
-            rhs_f=lambda x: np.zeros_like(x),
-        )
+        # grid (0 and 1/128 are its nearest), but x = 0.001 of gamma's grid,
+        # so making the Problem fails on its gamma estimate
         with pytest.raises(ValueError, match="coercivity condition violated: .* nan"):
-            gamma_estimate(prob)
+            Problem(
+                eps=1e-4,
+                coeff_b=lambda x: np.ones_like(x),
+                coeff_c=lambda x: np.where((x > 5e-4) & (x < 1.5e-3), np.nan, 1.0),
+                rhs_f=lambda x: np.zeros_like(x),
+            )
 
     def test_noncoercive_problem_raises(self):
         with pytest.raises(ValueError, match="coercivity"):
-            gamma_estimate(noncoercive_problem())
+            noncoercive_problem()
 
 
 class TestDeltaCap:
@@ -328,11 +328,27 @@ class TestDeltaCap:
         assert len(estimates) == 2
 
     def test_failed_estimate_is_not_kept(self, estimates):
-        prob = noncoercive_problem()
+        # a noncoercive Problem is never made, so each attempt estimates
+        # gamma and fails again
         for _ in range(2):
             with pytest.raises(ValueError, match="coercivity"):
-                prob.delta_cap
-        assert estimates == [prob, prob]
+                noncoercive_problem()
+        assert len(estimates) == 2
+
+    def test_near_zero_coefficients_give_a_finite_cap(self):
+        # 2 ||c||^2 underflows to 0 at ||c|| = 1e-280; gamma = 1.5e-280
+        assert near_zero_coefficient_problem().delta_cap == pytest.approx(7.5e279, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_c_off_the_other_grids_raises(self, value):
+        # x = 1/2048 is a point of the 4097-point grid for ||c||_inf only
+        with pytest.raises(ValueError, match="c must be finite"):
+            Problem(
+                eps=1e-4,
+                coeff_b=lambda x: np.ones_like(x),
+                coeff_c=lambda x: np.where(x == 1.0 / 2048, value, 1.0),
+                rhs_f=lambda x: np.zeros_like(x),
+            )
 
     def test_leaves_eq_hash_and_repr_alone(self):
         prob = make_test_problem(1e-6, 0.25)
