@@ -1,8 +1,8 @@
 """
 scipy's Fortran LAPACK and BLAS wrappers without the scipy.linalg namespace.
 
-cuspfem calls five Fortran routines: dgbsv, dgbtrs, dlangb and dsygvd from
-LAPACK, dgbmv from BLAS.  scipy wraps them in two extension modules,
+cuspfem calls dgbsv, dgbtrs, dlangb and dsygvd from LAPACK, and from BLAS
+dgbmv, which only apply_system calls.  scipy wraps them in two modules,
 scipy.linalg._flapack and scipy.linalg._fblas.  `import scipy.linalg`
 would load them too, but it also runs the whole namespace's __init__,
 which pulls in numpy.f2py, numpy.testing and scipy's array-API layer:

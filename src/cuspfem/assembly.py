@@ -13,11 +13,11 @@ tables with stacked per-point weights, plus (eps/h) S_ref for diffusion.
 The band matrix only preconditions the solve.  Its entries carry rounding
 that, for k >= 4 at large N, left the plain LU solution up to 2.4e5 times
 the interpolant's error.  So banded LU with partial pivoting (convection
-dominance can destroy diagonal dominance; LAPACK dgbsv) is followed by one
-step of fixed-precision iterative refinement: its residual applies the
-element operator block by block, with derivatives taken from each
-element's nodal values minus its first, and its correction reuses the LU
-factors.
+dominance can destroy diagonal dominance; LAPACK dgbsv) is followed by
+fixed-precision iterative refinement until a stopping rule holds: each
+step's residual applies the element operator block by block, with
+derivatives taken from each element's nodal values minus its first, and
+its correction reuses the LU factors.
 """
 
 from __future__ import annotations
@@ -42,15 +42,16 @@ DELTA_POLICIES = ("standard", "theorem-capped")
 
 RESIDUAL_TOL = 1e-10
 
+# refinement stops once dx_i^2 <= STEP_TOL, dx_i = ||dx_i|| / ||x|| (inf norms):
+# the steps shrink about quadratically, so dx_i^2 estimates the error left,
+# here within ten ulps (dx_i <= 3.2e-8); or once a step fails to halve the
+# one before; or after MAX_STEPS steps, as in LAPACK's xGBRFS
+STEP_TOL = 1e-15
+MAX_STEPS = 5
+
 # elements per block (assembly, residual, norms); at k = 8 its local
 # matrices take 0.7 MB, and 1024 measured fastest at N = 32768 among 128 .. 2048
 BLOCK_ELEMENTS = 1024
-
-# order k from which assembly lays the bands out in LAPACK's LU storage and
-# solve_banded factors them in place (see LinearSystem); from k = 5 on, the
-# element residual that then replaces dgbmv in the contract measured no
-# dearer than the band copy, dlangb and dgbmv that it saves, and below dearer
-IN_PLACE_ORDER = 5
 
 
 class AssemblyError(RuntimeError):
@@ -141,21 +142,16 @@ def _check_profile(stab: StabilizationProfile, mesh: Mesh) -> None:
 class LinearSystem:
     """
     Banded system after Dirichlet elimination: dimension n = 2Nk-1,
-    half-bandwidth k.  `storage` is the array that BLAS and LAPACK read,
-    in one of two shapes:
-    - (2k+1, n) band storage, storage[k + i - j, j] = A[i, j] (ku = k);
-    - (3k+1, n) LAPACK LU storage (ku = 2k): k zero fill rows above the
-      same 2k+1 rows.  `solve_banded` factors it in place, which consumes
-      the system: the storage then holds LU factors and is read-only, and
-      a second solve or `apply_system` is a ValueError.
-    Assembly returns Fortran-ordered band storage below k = IN_PLACE_ORDER
-    and Fortran-ordered LU storage from it on.  Band storage of another
-    layout works, but each BLAS/LAPACK call copies it; LU storage must be
-    Fortran-contiguous, or LAPACK would factor a copy and leave the
-    storage looking consumed.  `bands` is the last 2k+1 rows.
+    half-bandwidth k.  `storage` is Fortran-ordered (3k+1, n) LAPACK LU
+    storage: k zero rows for the LU's fill-in above the 2k+1 rows `bands`,
+    storage[2k + i - j, j] = A[i, j]; another shape or layout is a
+    ValueError (LAPACK would factor a copy and leave the storage looking
+    consumed).  `solve_banded` factors it in place, which consumes the
+    system: the storage then holds LU factors and is read-only, and a
+    second solve or `apply_system` is a ValueError.
     `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
     (None for Galerkin) define the element operator that `solve_banded`'s
-    refinement step applies.
+    refinement applies.
     """
 
     storage: np.ndarray
@@ -168,19 +164,17 @@ class LinearSystem:
     deltas: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        k, n, shape = self.order, self.rhs.size, self.storage.shape
-        if shape not in ((2 * k + 1, n), (3 * k + 1, n)):
-            raise ValueError(f"storage shape {shape} is not ({2 * k + 1} or {3 * k + 1}, {n})")
-        if shape[0] == 2 * k + 1:
-            self.storage.setflags(write=False)
-        elif not self.storage.flags.f_contiguous:
-            raise ValueError("(3k+1, n) LU storage must be Fortran-contiguous")
+        shape, expected = self.storage.shape, (3 * self.order + 1, self.rhs.size)
+        if shape != expected:
+            raise ValueError(f"storage shape {shape} is not {expected}")
+        if not self.storage.flags.f_contiguous:
+            raise ValueError("LU storage must be Fortran-contiguous")
         self.rhs.setflags(write=False)
 
     @property
     def bands(self) -> np.ndarray:
         """The (2k+1, n) band rows of `storage`, read-only."""
-        bands = self.storage[-(2 * self.order + 1) :]
+        bands = self.storage[self.order :]
         bands.setflags(write=False)
         return bands
 
@@ -201,6 +195,7 @@ class DiscreteFunction:
     family: str
     coefficients: np.ndarray
     residual: float = float("nan")
+    steps: tuple = ()  # ||dx_i|| / ||x|| of each refinement step of a solve
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
@@ -381,10 +376,8 @@ def _assemble(
         raise ValueError(f"need quad_points >= k+1 = {k + 1}, got {quad_points}")
     tables = _element_tables(k, family, quad_points)
     nel = mesh.n_intervals
-    # from IN_PLACE_ORDER on, LAPACK's LU storage (see LinearSystem)
-    rows = 3 * k + 1 if k >= IN_PLACE_ORDER else 2 * k + 1
-    storage = np.zeros((rows, nel * k + 1), order="F")
-    bands, rhs = storage[-(2 * k + 1) :], np.zeros(nel * k + 1)
+    storage = np.zeros((3 * k + 1, nel * k + 1), order="F")  # LU storage (see LinearSystem)
+    bands, rhs = storage[k:], np.zeros(nel * k + 1)
     for block in _blocks(mesh):
         _assemble_block(problem, block, k, tables, deltas, bands, rhs)
 
@@ -425,24 +418,24 @@ def assemble_sdfem(
     return _assemble(problem, mesh, k, family, quad_points or k + 3, stab.deltas)
 
 
-def _upper_bandwidth(system: LinearSystem) -> int:
-    """ku of the system's storage, from its row count; LU storage that
-    solve_banded has factored (and set read-only) is a ValueError."""
-    k, storage = system.order, system.storage
-    if storage.shape[0] == 2 * k + 1:
-        return k
-    if not storage.flags.writeable:
+def _unsolved(system: LinearSystem) -> np.ndarray:
+    """`storage`; a ValueError once solve_banded has factored it (read-only)."""
+    if not system.storage.flags.writeable:
         raise ValueError("solve_banded consumed this system: its bands hold LU factors")
-    return 2 * k
+    return system.storage
 
 
 def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the eliminated (interior) matrix (BLAS dgbmv
-    on `storage`); a system that solve_banded consumed is a ValueError."""
+    on `storage`, whose zero fill rows add nothing); a system that
+    solve_banded consumed is a ValueError."""
     n, k, x = system.dimension, system.order, np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x has shape {x.shape}; the system needs {n} entries")
-    return blas.dgbmv(n, n, k, _upper_bandwidth(system), 1.0, system.storage, x)
+    ab, ku = _unsolved(system), 2 * k
+    if n < 3 * k + 1:  # scipy's dgbmv asks n >= kl + ku + 1: the band rows, copied
+        ab, ku = ab[k:], k
+    return blas.dgbmv(n, n, k, ku, 1.0, ab, x)
 
 
 def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
@@ -488,58 +481,19 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
     return r
 
 
-def solve_banded(system: LinearSystem) -> DiscreteFunction:
-    """
-    Solve with the band matrix as a preconditioner: banded LU, then one
-    step of fixed-precision iterative refinement whose residual applies
-    the element operator (`_element_residual`) and whose correction
-    reuses the LU factors (dgbtrs).  Then verify the residual contract
-    ||r|| / (||A|| ||x|| + ||b||) <= 1e-10 (inf norms, A the band matrix)
-    at the refined x; the achieved value is recorded on the returned
-    function.  On band storage the LU works on a copy and r is A x - b
-    for the band matrix (dgbmv); LU storage it consumes, and there r is
-    b - A_elem x for the element operator, as the refinement step forms it.
-    """
-    k, n, rhs, ab = system.order, system.dimension, system.rhs, system.storage
-    ku = _upper_bandwidth(system)
-    in_place = ku == 2 * k
-    norm_a = lapack.dlangb("I", k, ku, ab)
-    norm_b = np.max(np.abs(rhs), initial=0.0)
-    if not (np.isfinite(norm_a) and np.isfinite(norm_b)):
-        raise SolverError("banded LU failed: array must not contain infs or NaNs")
-    if not in_place:  # k rows for the fill-in, which dgbsv's contract lets be unset
-        ab = np.empty((3 * k + 1, n), order="F")
-        ab[k:] = system.storage
-    # dgbsv (banded LU with partial pivoting) on Fortran-ordered storage,
-    # and in place on the interior of the nodal coefficients, whose
-    # boundary entries stay 0
-    coeffs = np.zeros(n + 2)
-    sol = coeffs[1:-1]
-    sol[:] = rhs
-    lu, piv, _, info = lapack.dgbsv(k, k, ab, sol, overwrite_ab=1, overwrite_b=1)
-    if in_place:
-        system.storage.setflags(write=False)
-    if info > 0:
-        raise SolverError("banded LU failed: singular matrix")
-    if not np.all(np.isfinite(sol)):
-        raise SolverError("banded LU produced non-finite values (singular system?)")
-    step = _element_residual(system, coeffs)
-    lapack.dgbtrs(lu, k, k, step, piv, overwrite_b=1)
-    sol += step
-    del ab, lu, piv, step  # freed before the contract's temporaries
-    if not np.all(np.isfinite(sol)):
-        raise SolverError("the refinement step produced non-finite values")
-    if in_place:
-        res = _element_residual(system, coeffs)
-    else:
-        res = apply_system(system, sol)
-        res -= rhs
-    res = np.max(np.abs(res, out=res))
+def _max_abs(v: np.ndarray) -> float:
+    """||v||_inf without an array of |v|; nan if v holds a NaN."""
+    return max(np.max(v), -np.min(v))
+
+
+def _contract(r: np.ndarray, x_max: float, norm_a: float, norm_b: float) -> float:
+    """The relative residual ||r|| / (||A|| ||x|| + ||b||) (inf norms); a
+    SolverError where it is not finite or exceeds RESIDUAL_TOL."""
+    res = _max_abs(r)
     if not np.isfinite(res):
         raise SolverError(f"residual contract violated: max |Ax - b| = {res} is not finite")
     # ||A|| ||x|| + ||b|| can overflow where the ratio cannot, so both
     # terms are divided by the larger of ||x|| and ||b|| first
-    x_max = np.max(np.abs(sol), initial=0.0)
     scale = max(x_max, norm_b)
     rel = res / scale / (norm_a * (x_max / scale) + norm_b / scale) if scale else 0.0
     if rel > RESIDUAL_TOL:
@@ -547,4 +501,49 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
             f"residual contract violated: relative residual {rel:.3e} > {RESIDUAL_TOL}; "
             "the system is likely ill-conditioned"
         )
-    return DiscreteFunction(system.mesh, system.order, system.family, coeffs, rel)
+    return rel
+
+
+def solve_banded(system: LinearSystem) -> DiscreteFunction:
+    """
+    Solve with the band matrix as a preconditioner: banded LU in place on
+    the system's storage (dgbsv), which consumes the system, then
+    fixed-precision iterative refinement x += LU^-1 r, r = b - A_elem x for
+    the element operator (`_element_residual`; dgbtrs), to the stopping
+    rule at STEP_TOL.  The residual contract ||r|| / (||A|| ||x|| + ||b||)
+    <= 1e-10 (inf norms, A the band matrix) must hold for the LU solution,
+    or the bands are not the element operator, and for the returned x; the
+    function records that value and each step's ||dx|| / ||x||.
+    """
+    k, rhs = system.order, system.rhs
+    ab = _unsolved(system)
+    norm_a = lapack.dlangb("I", k, 2 * k, ab)  # the fill rows are still zero
+    norm_b = _max_abs(rhs)
+    if not (np.isfinite(norm_a) and np.isfinite(norm_b)):
+        raise SolverError("banded LU failed: array must not contain infs or NaNs")
+    # dgbsv (banded LU with partial pivoting) in place on the storage and
+    # on the interior of the nodal coefficients, whose boundary entries stay 0
+    coeffs = np.pad(rhs, 1)
+    x = coeffs[1:-1]
+    lu, piv, _, info = lapack.dgbsv(k, k, ab, x, overwrite_ab=1, overwrite_b=1)
+    ab.setflags(write=False)
+    if info > 0:
+        raise SolverError("banded LU failed: singular matrix")
+    if not np.all(np.isfinite(x)):
+        raise SolverError("banded LU produced non-finite values (singular system?)")
+    r = _element_residual(system, coeffs)
+    _contract(r, _max_abs(x), norm_a, norm_b)
+    steps = []
+    for i in range(MAX_STEPS):
+        lapack.dgbtrs(lu, k, k, r, piv, overwrite_b=1)  # r becomes the step dx
+        x += r
+        if not np.all(np.isfinite(x)):
+            raise SolverError("the refinement step produced non-finite values")
+        x_max = _max_abs(x)
+        steps.append(_max_abs(r) / x_max if x_max else 0.0)
+        del r  # freed before the next residual
+        r = _element_residual(system, coeffs)
+        if steps[i] ** 2 <= STEP_TOL or (i and steps[i] > steps[i - 1] / 2):
+            break
+    rel = _contract(r, x_max, norm_a, norm_b)
+    return DiscreteFunction(system.mesh, k, system.family, coeffs, rel, tuple(steps))

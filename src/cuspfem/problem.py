@@ -92,8 +92,8 @@ def make_test_problem(eps: float, lam: float) -> Problem:
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:  # also NaN, which c(0) > 0 would only misreport
+        raise ValueError(f"not 0 < lam < inf: got lam = {lam}")
     e1 = 1.0 + eps
     # boundary constants, reused so the cancellation at x = +-1 is exact for
     # a scalar x

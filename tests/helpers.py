@@ -181,6 +181,17 @@ def bands_to_dense(system) -> np.ndarray:
     return dense
 
 
+def lu_storage(bands) -> np.ndarray:
+    """The Fortran-ordered (3k+1, n) LU storage that a LinearSystem takes,
+    from band rows (2k+1, n), bands[k + i - j, j] = A[i, j]: k zero fill
+    rows above a copy of them."""
+    bands = np.asarray(bands, dtype=float)
+    k = (bands.shape[0] - 1) // 2
+    storage = np.zeros((3 * k + 1, bands.shape[1]), order="F")
+    storage[k:] = bands
+    return storage
+
+
 def discrete_l2(fn: DiscreteFunction) -> float:
     """L2 norm of a discrete function by exact per-element Gauss quadrature."""
     rule = gauss_rule(fn.order + 1)

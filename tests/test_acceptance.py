@@ -36,6 +36,7 @@ from cuspfem import (
     solve_banded,
     validate_mesh,
 )
+from cuspfem.assembly import STEP_TOL
 
 getcontext().prec = 60
 
@@ -331,3 +332,32 @@ def test_11_standard_deltas_reach_the_interpolant_at_moderate_eps():
             for n in (64, 128, 256, 512, 1024):
                 own, interp = _solution_and_interpolant_errors(eps, k, 0.25, "standard", n)
                 assert own <= 1.5 * interp, (eps, k, n, own, interp)
+
+
+def test_12_refinement_leaves_no_solve_floor_at_eps_1():
+    """Galerkin at eps 1, k 8, N 2048 .. 16384: the L2 error is at most
+    2e-13 at every N (so at most 1e-12 at N 8192).  One refinement step
+    left 1.6e-13, 2.5e-12, 5.7e-11 and 9.4e-10, rising with N under a
+    clean residual; each further step shrinks about as the square of the
+    last, so the solve records its relative step sizes and stops once the
+    last one's square is below STEP_TOL."""
+    eps, k = 1.0, 8
+    prob = make_test_problem(eps, 0.25)
+    for n in (2048, 4096, 8192, 16384):
+        mesh = build_mesh(MeshParams(eps, n, k, 0.25))
+        fn = solve_banded(assemble_galerkin(prob, mesh, k))
+        l2 = error_norms(fn, prob, mesh).l2
+        assert l2 <= 2e-13, (n, l2, fn.steps)
+        assert len(fn.steps) == 2 and fn.steps[1] ** 2 <= STEP_TOL < fn.steps[0] ** 2, fn.steps
+
+
+def test_12b_sweep_size_case_takes_one_refinement_step():
+    """Theorem-capped SDFEM at eps 1e-2, k 4, N 1024, the benchmark sweep's
+    largest kind of case: its first step is already below the stopping
+    rule, so the solve takes exactly one."""
+    eps, k = 1e-2, 4
+    prob = make_test_problem(eps, 0.25)
+    mesh = build_mesh(MeshParams(eps, 1024, k, 0.25))
+    stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
+    fn = solve_banded(assemble_sdfem(prob, mesh, k, stab=stab))
+    assert len(fn.steps) == 1 and 0.0 < fn.steps[0] ** 2 <= STEP_TOL, fn.steps

@@ -16,6 +16,7 @@ from helpers import (
     discrete_l2,
     einsum_reference_assembly,
     loop_add_local,
+    lu_storage,
     near_zero_coefficient_problem,
     patch_problem,
     reference_assembly,
@@ -47,13 +48,14 @@ from cuspfem import (
 )
 from cuspfem.assembly import (
     BLOCK_ELEMENTS,
-    IN_PLACE_ORDER,
+    MAX_STEPS,
+    STEP_TOL,
     _add_local,
     _assemble_block,
     _blocks,
+    _contract,
     _element_residual,
     _element_tables,
-    _upper_bandwidth,
     _windows,
 )
 
@@ -233,28 +235,27 @@ class TestSystemStructure:
         assert system.bands.shape == (2 * k + 1, 2 * n * k - 1)
         assert system.rhs.shape == (2 * n * k - 1,)
 
-    @pytest.mark.parametrize("k", [2, 8])
+    @pytest.mark.parametrize("k", [1, 2, 8])
     def test_storage_of_another_shape_is_rejected(self, k):
-        # only (2k+1, n) band storage and (3k+1, n) LU storage; at k = 1
-        # 2k + 2 rows would be LU storage
+        # only (3k+1, n) LU storage; (2k+1, n) band rows alone are rejected
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
         n = 2 * 8 * k - 1
-        for shape in [(2 * k, n), (2 * k + 2, n), (2 * k + 1, n + 1)]:
+        for shape in [(2 * k + 1, n), (3 * k, n), (3 * k + 2, n), (3 * k + 1, n + 1)]:
             with pytest.raises(ValueError, match="storage shape"):
                 LinearSystem(np.zeros(shape, order="F"), np.ones(n), mesh, k, "uniform", prob)
+        LinearSystem(np.zeros((3 * k + 1, n), order="F"), np.ones(n), mesh, k, "uniform", prob)
 
-    def test_lu_storage_must_be_fortran_ordered(self):
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_lu_storage_must_be_fortran_ordered(self, k):
         # LAPACK would factor a copy of C-ordered LU storage, and the solve
         # would then mark the untouched original consumed
         prob = make_test_problem(1e-4, 0.25)
-        mesh = build_mesh(MeshParams(1e-4, 8, 8, 0.25))
-        system = assemble_galerkin(prob, mesh, 8)
-        assert system.storage.shape[0] == 3 * 8 + 1
+        mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
+        system = assemble_galerkin(prob, mesh, k)
+        assert system.storage.shape[0] == 3 * k + 1 and system.storage.flags.f_contiguous
         with pytest.raises(ValueError, match="Fortran-contiguous"):
             dataclasses.replace(system, storage=np.ascontiguousarray(system.storage))
-        # band storage of any layout is still accepted
-        dataclasses.replace(system, storage=np.ascontiguousarray(system.bands))
 
     def test_quadrature_minimum_enforced(self):
         prob = make_test_problem(1e-4, 0.25)
@@ -273,21 +274,30 @@ class TestSystemStructure:
     @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_apply_system_matches_dense(self, k, method):
-        # assembly's Fortran-ordered bands, and a C-ordered copy of them
+        # assembly's LU storage, and storage built from a copy of its bands
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
         if method == "galerkin":
             system = assemble_galerkin(prob, mesh, k)
         else:
             system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, 1e-4))
-        c_ordered = dataclasses.replace(system, storage=np.ascontiguousarray(system.bands))
-        assert c_ordered.bands.flags.c_contiguous and not c_ordered.bands.flags.f_contiguous
+        rebuilt = dataclasses.replace(system, storage=lu_storage(system.bands))
         dense = bands_to_dense(system)
         rng = np.random.default_rng(4)
         for _ in range(5):
             v = rng.standard_normal(system.dimension)
-            for sys_ in (system, c_ordered):
+            for sys_ in (system, rebuilt):
                 assert apply_system(sys_, v) == pytest.approx(dense @ v, rel=1e-13, abs=1e-13)
+
+    def test_apply_system_on_the_smallest_system(self):
+        # N = 2, k = 1 gives n = 3 < 3k + 1, where scipy's dgbmv refuses the
+        # LU storage's 3k + 1 rows
+        prob = make_test_problem(1e-6, 0.25)
+        mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
+        system = assemble_galerkin(prob, mesh, 1)
+        v = np.array([1.0, -2.0, 3.0])
+        assert system.dimension == 3
+        assert apply_system(system, v) == pytest.approx(bands_to_dense(system) @ v, rel=1e-15)
 
     @pytest.mark.parametrize("wrong", ["n+3", "n-1", "column"])
     def test_apply_system_rejects_x_of_another_shape(self, wrong):
@@ -469,7 +479,8 @@ class TestSolver:
         system = assemble_galerkin(prob, mesh, 2)
         rng = np.random.default_rng(12)
         v = rng.standard_normal(system.dimension)
-        forced = LinearSystem(system.bands, apply_system(system, v), mesh, 2, "uniform", prob)
+        rhs = apply_system(system, v)
+        forced = LinearSystem(lu_storage(system.bands), rhs, mesh, 2, "uniform", prob)
         fn = solve_banded(forced)
         assert fn.coefficients[1:-1] == pytest.approx(v, rel=1e-12, abs=1e-12)
         assert fn.coefficients[0] == 0.0 and fn.coefficients[-1] == 0.0
@@ -502,18 +513,20 @@ class TestSolver:
         for k in (1, 2):
             mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
             n = 2 * 8 * k - 1
-            bands = np.zeros((2 * k + 1, n))
+            storage = lu_storage(np.zeros((2 * k + 1, n)))
             with pytest.raises(SolverError, match="singular"):
-                solve_banded(LinearSystem(bands, np.ones(n), mesh, k, "uniform", prob))
+                solve_banded(LinearSystem(storage, np.ones(n), mesh, k, "uniform", prob))
 
     def test_bands_that_disagree_with_the_element_operator_miss_the_contract(self):
-        # the refinement step corrects towards the element operator's
-        # solution, which these bands miss by a relative 7.5e-8
+        # the refinement corrects towards the element operator's solution,
+        # which it reaches from these bands in a few steps; the contract on
+        # the LU solution's residual b - A_elem x_0 = b 1e-6 / (1 + 1e-6)
+        # sees them miss it by a relative 7.45e-8
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 16, 2, 0.25))
         system = assemble_galerkin(prob, mesh, 2)
-        scaled = dataclasses.replace(system, storage=np.asfortranarray(system.bands * (1 + 1e-6)))
-        with pytest.raises(SolverError, match="residual contract violated"):
+        scaled = dataclasses.replace(system, storage=lu_storage(system.bands * (1 + 1e-6)))
+        with pytest.raises(SolverError, match=r"relative residual 7\.4\d\de-08 > 1e-10"):
             solve_banded(scaled)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -522,88 +535,148 @@ class TestSolver:
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
         n = 2 * 8 * k - 1
-        bands = np.zeros((2 * k + 1, n), order="F")
-        bands[k] = 1e-300
-        system = LinearSystem(bands, np.full(n, 1e10), mesh, k, "uniform", prob)
+        storage = np.zeros((3 * k + 1, n), order="F")
+        storage[2 * k] = 1e-300
+        system = LinearSystem(storage, np.full(n, 1e10), mesh, k, "uniform", prob)
         with pytest.raises(SolverError, match="banded LU produced non-finite values"):
             solve_banded(system)
 
-    def test_non_finite_refinement_step_is_a_solver_error(self, monkeypatch):
+    @pytest.mark.parametrize("first_nan", [1, 2])
+    def test_non_finite_residual_is_a_solver_error(self, first_nan, monkeypatch):
+        # a NaN residual of the LU solution misses its contract; one of a
+        # refined solution makes the next step NaN.  STEP_TOL < 0 lets no
+        # step stop the refinement
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, 2, 0.25))
         system = assemble_galerkin(prob, mesh, 2)
-        monkeypatch.setattr(
-            "cuspfem.assembly._element_residual", lambda s, c: np.full(s.dimension, np.nan)
-        )
-        with pytest.raises(SolverError, match="the refinement step produced non-finite values"):
+        calls = []
+
+        def residual(s, c):
+            calls.append(None)
+            r = _element_residual(s, c)
+            return np.full_like(r, np.nan) if len(calls) >= first_nan else r
+
+        monkeypatch.setattr("cuspfem.assembly._element_residual", residual)
+        monkeypatch.setattr("cuspfem.assembly.STEP_TOL", -1.0)
+        message = {
+            1: "residual contract violated: max |Ax - b| = nan is not finite",
+            2: "the refinement step produced non-finite values",
+        }[first_nan]
+        with pytest.raises(SolverError, match=re.escape(message)):
             solve_banded(system)
+        assert len(calls) == first_nan
 
     def test_non_finite_residual_misses_the_contract(self, monkeypatch):
         # A = tridiag(-1, 3, -2) and x = [1, X, X] give b = [3 - 2X, X - 1, 2X]:
         # x and b are finite, but A x forms 3X, which overflows, so the
-        # relative residual would be inf / inf = nan, and nan > tol is False
+        # relative residual would be inf / inf = nan, and nan > tol is False.
+        # The residual here is the band matrix's, from an unsolved copy
         X = 6e307
         prob = make_test_problem(1e-6, 0.25)
         mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
-        bands = np.asfortranarray([[0.0, -2.0, -2.0], [3.0, 3.0, 3.0], [-1.0, -1.0, 0.0]])
-        system = LinearSystem(bands, np.array([3 - 2 * X, X - 1, 2 * X]), mesh, 1, "uniform", prob)
+        bands = [[0.0, -2.0, -2.0], [3.0, 3.0, 3.0], [-1.0, -1.0, 0.0]]
+        rhs = np.array([3 - 2 * X, X - 1, 2 * X])
+        system, copy = (
+            LinearSystem(lu_storage(bands), rhs, mesh, 1, "uniform", prob) for _ in range(2)
+        )
         monkeypatch.setattr(
-            "cuspfem.assembly._element_residual", lambda s, c: np.zeros(s.dimension)
+            "cuspfem.assembly._element_residual", lambda s, c: s.rhs - apply_system(copy, c[1:-1])
         )
         with pytest.raises(SolverError, match="residual contract violated: .* not finite"):
             solve_banded(system)
 
-    @pytest.mark.parametrize("step", ["zero", "quarter-rhs"])
-    def test_contract_scale_does_not_overflow(self, step, monkeypatch):
+    @pytest.mark.parametrize("scale", [1e-17, 0.25])
+    def test_contract_scale_does_not_overflow(self, scale, monkeypatch):
         # A = tridiag(-1, 2, -1) and b = [X, 0, X] give x = [X, X, X]:
-        # ||A|| ||x|| = 4X overflows, though A x, x and b are finite.  With
-        # a zero refinement step the LU solution's residual is a relative
-        # 7e-17; a step of A^-1 b / 4 leaves r = b / 4, a relative 0.04
+        # ||A|| ||x|| = 4X overflows, though A x, x and b are finite.  A
+        # residual of b scale, at the LU solution and after each step (of
+        # relative size scale), is a relative (X scale) / (4X + X) = scale / 5:
+        # 2e-18 is recorded, and 0.05 misses the contract
         X = 6e307
         prob = make_test_problem(1e-6, 0.25)
         mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
-        bands = np.asfortranarray([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])
-        system = LinearSystem(bands, np.array([X, 0.0, X]), mesh, 1, "uniform", prob)
-        residual = {
-            "zero": lambda s, c: np.zeros(s.dimension),
-            "quarter-rhs": lambda s, c: s.rhs / 4,
-        }
-        monkeypatch.setattr("cuspfem.assembly._element_residual", residual[step])
-        if step == "zero":
-            assert 0.0 < solve_banded(system).residual <= 1e-16
+        bands = [[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]]
+        system = LinearSystem(lu_storage(bands), np.array([X, 0.0, X]), mesh, 1, "uniform", prob)
+        monkeypatch.setattr("cuspfem.assembly._element_residual", lambda s, c: s.rhs * scale)
+        if scale < 1e-10:
+            assert solve_banded(system).residual == pytest.approx(scale / 5, rel=1e-12)
         else:
-            with pytest.raises(SolverError, match="relative residual 4.167e-02"):
+            with pytest.raises(SolverError, match="relative residual 5.000e-02"):
                 solve_banded(system)
 
-    @pytest.mark.parametrize("k", [IN_PLACE_ORDER, 8])
-    def test_in_place_bands_that_disagree_with_the_element_operator_miss_the_contract(self, k):
-        # from IN_PLACE_ORDER on the contract measures b - A_elem x: LU
-        # storage scaled by 1.5 leaves x = A^-1 b / 1.5 + (A^-1 b / 3) / 1.5,
-        # 8/9 of the solution, so r = b / 9
+    @pytest.mark.parametrize(
+        "rule, step_tol, ratio, taken",
+        [("small-step", STEP_TOL, 1.0, 1), ("stalled", -1.0, 1.0, 2), ("max-steps", -1.0, 0.25, 5)],
+    )
+    def test_refinement_stopping_rule(self, rule, step_tol, ratio, taken, monkeypatch):
+        # a residual of b c_i at the i-th call makes step i about c_i x, so
+        # the relative steps are c_i: 1e-12 is small enough, and with
+        # STEP_TOL < 0 the loop stops where a step fails to halve, or after
+        # MAX_STEPS steps that each shrink 4x
+        prob = make_test_problem(1e-4, 0.25)
+        mesh = build_mesh(MeshParams(1e-4, 8, 2, 0.25))
+        system = assemble_galerkin(prob, mesh, 2)
+        sizes = []
+
+        def residual(s, c):
+            sizes.append(1e-12 * ratio ** len(sizes))
+            return s.rhs * sizes[-1]
+
+        monkeypatch.setattr("cuspfem.assembly._element_residual", residual)
+        monkeypatch.setattr("cuspfem.assembly.STEP_TOL", step_tol)
+        fn = solve_banded(system)
+        assert len(fn.steps) == taken and len(sizes) == taken + 1
+        assert fn.steps == pytest.approx(sizes[:-1], rel=1e-9)
+        assert taken <= MAX_STEPS == 5
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 8])
+    def test_assembled_systems_pass_the_lu_solutions_contract(self, k, monkeypatch):
+        # the contract on the LU solution's residual catches bands that are
+        # not the element operator; on assembled systems it reads at most
+        # 2.9e-16 (eps 1 .. 1e-14, N 16 .. 16384), far below RESIDUAL_TOL
+        rels = []
+
+        def contract(*args):
+            rels.append(_contract(*args))
+            return rels[-1]
+
+        monkeypatch.setattr("cuspfem.assembly._contract", contract)
+        for eps in (1.0, 1e-4, 1e-14):
+            prob = make_test_problem(eps, 0.25)
+            mesh = build_mesh(MeshParams(eps, 64, k, 0.25))
+            stab = compute_deltas(mesh, eps, policy="theorem-capped", problem=prob, k=k)
+            for system in (
+                assemble_galerkin(prob, mesh, k),
+                assemble_sdfem(prob, mesh, k, stab=stab),
+            ):
+                rels.clear()
+                fn = solve_banded(system)
+                assert len(rels) == 2 and rels[1] == fn.residual
+                assert rels[0] <= 1e-14, (eps, rels)
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_scaled_storage_misses_the_contract(self, k):
+        # LU storage scaled by 1.5 leaves x_0 = A^-1 b / 1.5, 2/3 of the
+        # element operator's solution, so r_0 = b / 3; the refinement would
+        # reach b / 729 in its five steps
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 16, k, 0.25))
         system = assemble_galerkin(prob, mesh, k)
         storage = system.storage
-        assert _upper_bandwidth(system) == 2 * k and storage.shape == (3 * k + 1, system.dimension)
+        assert storage.shape == (3 * k + 1, system.dimension)
         storage *= 1.5
         with pytest.raises(SolverError, match="residual contract violated"):
             solve_banded(system)
 
-    @pytest.mark.parametrize("k", [IN_PLACE_ORDER - 1, IN_PLACE_ORDER, 8])
-    def test_solve_consumes_in_place_systems_only(self, k):
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_solve_consumes_its_system(self, k):
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 16, k, 0.25))
         system = assemble_galerkin(prob, mesh, k)
-        # bands held any other way keep the copy, and so do the assembled
-        # bands below IN_PLACE_ORDER
-        copied = dataclasses.replace(system, storage=system.bands.copy())
+        copied = dataclasses.replace(system, storage=lu_storage(system.bands))
         sharing = dataclasses.replace(system, rhs=system.rhs * 2)
         x = np.ones(system.dimension)
         first = solve_banded(system)
-        if k < IN_PLACE_ORDER:  # the solve factored a copy
-            assert np.array_equal(solve_banded(system).coefficients, first.coefficients)
-            assert np.array_equal(apply_system(system, x), apply_system(copied, x))
-            return
         consumed = "solve_banded consumed this system: its bands hold LU factors"
         # a system that shares the storage is consumed with it
         for solved in (system, sharing):
@@ -612,10 +685,11 @@ class TestSolver:
             with pytest.raises(ValueError, match=consumed):
                 apply_system(solved, x)
         assert np.array_equal(solve_banded(copied).coefficients, first.coefficients)
-        assert np.array_equal(solve_banded(copied).coefficients, first.coefficients)
+        with pytest.raises(ValueError, match=consumed):
+            solve_banded(copied)
 
-    @pytest.mark.parametrize("k", [IN_PLACE_ORDER, 8])
-    def test_singular_in_place_system_is_consumed(self, k):
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_singular_system_is_consumed(self, k):
         # dgbsv overwrites the storage before it reports a zero pivot
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
@@ -638,9 +712,9 @@ class TestSolver:
                 return assemble_galerkin(prob, mesh, k)
             return assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
 
-        system, in_place = assemble(), k >= IN_PLACE_ORDER
+        system = assemble()
         bands, rhs = system.bands.copy(), system.rhs.copy()
-        abs_system = LinearSystem(np.abs(bands), rhs, mesh, k, "uniform", prob)
+        abs_system = LinearSystem(lu_storage(np.abs(bands)), rhs, mesh, k, "uniform", prob)
         norm_a = np.max(apply_system(abs_system, np.ones(rhs.size)))
         fn = solve_banded(system)
         # before the refinement step: LAPACK dgbsv on scipy's band storage,
@@ -649,59 +723,23 @@ class TestSolver:
         ab[k:] = bands
         sol = lapack.dgbsv(k, k, ab, rhs)[2]
         # a zero residual makes the refinement step zero, so the solve
-        # returns its LU solution; an in-place solve consumed the system
+        # returns its LU solution; the first solve consumed the system
         with monkeypatch.context() as m:
             m.setattr("cuspfem.assembly._element_residual", lambda s, c: np.zeros(s.dimension))
-            again = assemble() if in_place else system
-            assert np.array_equal(solve_banded(again).coefficients[1:-1], sol)
+            assert np.array_equal(solve_banded(assemble()).coefficients[1:-1], sol)
         if k >= 2:
             assert np.array_equal(sol, scipy.linalg.solve_banded((k, k), bands, rhs))
-        # the recorded residual, at the refined solution, is the band
-        # matrix's below IN_PLACE_ORDER and the element operator's from it on
+        # the recorded residual is the element operator's at the refined
+        # solution
         x = fn.coefficients[1:-1]
-        if in_place:
-            r = _element_residual(system, fn.coefficients)
-        else:
-            r = apply_system(system, x) - rhs
+        r = _element_residual(system, fn.coefficients)
         res, x_max, b_max = np.max(np.abs(r)), np.max(np.abs(x)), np.max(np.abs(rhs))
         scale = max(x_max, b_max)
         assert fn.residual == res / scale / (norm_a * (x_max / scale) + b_max / scale)
         assert fn.residual <= 1e-15
-        # the right-hand side survives; the bands do below IN_PLACE_ORDER,
-        # where the solve factors a copy of them
+        # the right-hand side survives; the bands hold LU factors
         assert np.array_equal(system.rhs, rhs)
-        assert np.array_equal(system.bands, bands) != in_place
-
-    @pytest.mark.parametrize("n_half", [4, 64])
-    @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
-    @pytest.mark.parametrize("k", range(1, IN_PLACE_ORDER))
-    def test_lu_copy_ignores_its_fill_rows(self, k, method, n_half):
-        # dgbsv documents the first k rows of its band array as "need not be
-        # set", and the solve leaves them as np.empty finds them: NaN there
-        # gives the x, pivots and refined coefficients of a zero fill, and
-        # solve_banded returns those coefficients
-        eps = 1e-6
-        prob = make_test_problem(eps, 0.25)
-        mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
-        if method == "galerkin":
-            system = assemble_galerkin(prob, mesh, k)
-        else:
-            system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
-        n = system.dimension
-        results = []
-        for fill in (0.0, np.nan):
-            ab = np.full((3 * k + 1, n), fill, order="F")
-            ab[k:] = system.bands
-            lu, piv, x, info = lapack.dgbsv(k, k, ab, system.rhs)
-            assert info == 0
-            coeffs = np.zeros(n + 2)
-            coeffs[1:-1] = x
-            step, info = lapack.dgbtrs(lu, k, k, _element_residual(system, coeffs), piv)
-            assert info == 0
-            results.append((x, piv, x + step))
-        for zero_filled, nan_filled in zip(*results):
-            assert np.array_equal(zero_filled, nan_filled)
-        assert np.array_equal(solve_banded(system).coefficients[1:-1], results[0][2])
+        assert not np.array_equal(system.bands, bands)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_non_finite_rhs_is_a_solver_error(self, k):
@@ -711,7 +749,7 @@ class TestSolver:
         rhs = system.rhs.copy()
         rhs[5] = np.nan
         with pytest.raises(SolverError):
-            solve_banded(LinearSystem(system.bands, rhs, mesh, k, "uniform", prob))
+            solve_banded(LinearSystem(lu_storage(system.bands), rhs, mesh, k, "uniform", prob))
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_band_entry_is_a_solver_error(self, value):
@@ -721,7 +759,7 @@ class TestSolver:
         bands = system.bands.copy()
         bands[1, 3] = value
         with pytest.raises(SolverError):
-            solve_banded(LinearSystem(bands, system.rhs, mesh, 1, "uniform", prob))
+            solve_banded(LinearSystem(lu_storage(bands), system.rhs, mesh, 1, "uniform", prob))
 
     def test_nan_rhs_detected_at_assembly(self):
         # f hides a NaN window too narrow for the 257-point validation grid
@@ -827,12 +865,11 @@ class TestWorkingMemory:
     # tracemalloc counts the bytes numpy allocates, so these bounds do not
     # depend on how malloc returns memory to the system
     @pytest.mark.parametrize("k", [1, 2, 8])
-    def test_solve_holds_one_band_copy(self, k):
-        # below IN_PLACE_ORDER LAPACK's (3k+1, n) copy of the bands, from it
-        # on none (the LU overwrites assembly's storage); then the solution,
-        # the refinement step's residual and the int32 pivots, 2.5
-        # n-vectors.  The step's per-block temporaries may add a constant,
-        # but nothing beyond these may grow with N
+    def test_solve_holds_no_band_copy(self, k):
+        # the LU overwrites assembly's storage; the solve holds the solution,
+        # one refinement residual at a time and the int32 pivots, 2.5
+        # n-vectors.  The residual's per-block temporaries may add a
+        # constant, but nothing beyond these may grow with N
         eps = 1e-10
         prob = make_test_problem(eps, 0.25)
         beyond = []
@@ -841,15 +878,14 @@ class TestWorkingMemory:
             system = assemble_galerkin(prob, mesh, k)
             n = system.dimension
             _, peak = traced_peak(solve_banded, system)
-            copy = 0 if k >= IN_PLACE_ORDER else (3 * k + 1) * n * 8
-            beyond.append(peak - copy - 2 * n * 8 - n * 4)
+            beyond.append(peak - 2 * n * 8 - n * 4)
         assert beyond[1] <= beyond[0] + 64 * 1024
 
     @pytest.mark.parametrize("k, n_half", [(1, 4096), (8, 1024)])
     def test_apply_system_allocates_only_its_result(self, k, n_half):
-        # assembly returns Fortran-ordered bands, or from IN_PLACE_ORDER on
-        # Fortran-ordered LU storage, which dgbmv reads in place: the product
-        # allocates its n-vector result and no band copy or buffer
+        # assembly returns Fortran-ordered LU storage, which dgbmv reads in
+        # place: the product allocates its n-vector result and no band copy
+        # or buffer
         eps = 1e-10
         prob = make_test_problem(eps, 0.25)
         mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
@@ -871,7 +907,7 @@ class TestWorkingMemory:
                 mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
                 kwargs = {"stab": compute_deltas(mesh, eps)} if assemble is assemble_sdfem else {}
                 system, peak = traced_peak(assemble, prob, mesh, k, **kwargs)
-                # the arrays that hold the bands (LU storage at this k) and rhs
+                # the arrays that hold the bands (LU storage) and rhs
                 extra.append(peak - system.bands.base.nbytes - system.rhs.base.nbytes)
             assert extra[1] <= extra[0] + 64 * 1024
 
@@ -921,11 +957,10 @@ class TestWorkingMemory:
         assert peaks[0] <= coeffs.nbytes + (k + 7 * (k + 3)) * rows + 256 * 1024
 
     @pytest.mark.parametrize("n_half", [4096, 16384])
-    def test_in_place_case_peaks_at_its_storage_and_four_vectors(self, n_half):
-        # from IN_PLACE_ORDER on one case holds assembly's (3k+1, n+2) LU
-        # storage, the rhs, the solve's 2.5 n-vectors (coefficients, step,
-        # int32 pivots) and the per-block temporaries of assembly and the
-        # element residual; the band copy of the solve is gone
+    def test_case_peaks_at_its_storage_and_four_vectors(self, n_half):
+        # one case holds assembly's (3k+1, n+2) LU storage, the rhs, the
+        # solve's 2.5 n-vectors (coefficients, residual, int32 pivots) and
+        # the per-block temporaries of assembly and the element residual
         eps, k = 1e-10, 8
         prob = make_test_problem(eps, 0.25)
         mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))

@@ -197,13 +197,13 @@ class TestConvergeVerb:
 
     def test_failed_row_keeps_the_markdown_columns(self, monkeypatch, capsys):
         # a NaN residual at k = 2 fails the row with "max |Ax - b| = nan ..."
-        apply = cuspfem.assembly.apply_system
+        residual = cuspfem.assembly._element_residual
 
-        def nan_at_k2(system, x):
-            y = apply(system, x)
-            return np.full_like(y, np.nan) if system.order == 2 else y
+        def nan_at_k2(system, coeffs):
+            r = residual(system, coeffs)
+            return np.full_like(r, np.nan) if system.order == 2 else r
 
-        monkeypatch.setattr(cuspfem.assembly, "apply_system", nan_at_k2)
+        monkeypatch.setattr(cuspfem.assembly, "_element_residual", nan_at_k2)
         assert main(["converge", *SWEEP, "--eps", "1e-6", "--format", "markdown"]) == 2
         out, err = capsys.readouterr()
         message = "residual contract violated: max |Ax - b| = nan is not finite"
@@ -450,6 +450,16 @@ def test_invalid_setting_is_a_config_error(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "row failure" not in err
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0"])
+def test_non_positive_or_non_finite_lambda_is_named(lam, capsys):
+    # lambda = nan once passed make_test_problem and was reported as
+    # "need c >= 0 on [-1, 1] and c(0) > 0", with a RuntimeWarning
+    assert main(["converge", *SWEEP[2:], f"--lambda={lam}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: not 0 < lam < inf: got lam = {float(lam)}\n"
 
 
 def test_noncoercive_problem_fails_on_every_run(monkeypatch, capsys):

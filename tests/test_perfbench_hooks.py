@@ -59,7 +59,7 @@ def test_traced_passes_record_every_span_and_counter(tracer, tmp_path):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_assembled_bands_keep_the_size_that_bytes_computed_counts(k):
     # assembly.bytes_computed adds system.bands.nbytes: (2k+1) rows of n,
-    # also where the bands are rows of the solve's larger LU storage
+    # the band rows of the (3k+1, n) LU storage
     mesh = experiments.build_mesh(experiments.MeshParams(1e-6, 16, k, 0.25))
     prob = experiments.make_problem("sun-stynes-example", 1e-6, 0.25)
     for system in (
