@@ -4,9 +4,10 @@ over a layer-adapted mesh with order-k Lagrange elements, homogeneous
 Dirichlet elimination, and the banded solve.
 
 Global node numbering is left to right (element e owns nodes e*k .. e*k+k),
-so the matrix bandwidth is k.  Assembly, the refinement residual and the
-error norms walk the elements in blocks of BLOCK_ELEMENTS (`_blocks`), so
-one block's samples and local matrices stay in cache.
+so the matrix bandwidth is k.  Assembly and the error norms walk the
+elements in blocks of BLOCK_ELEMENTS (`_blocks`), so one block's samples
+and local matrices stay in cache; the refinement residual walks
+assembly's blocks again, with the a and c samples assembly kept.
 A block's local matrices are one matrix product of stacked reference
 tables with stacked per-point weights, plus (eps/h) S_ref for diffusion.
 
@@ -15,15 +16,16 @@ that, for k >= 4 at large N, left the plain LU solution up to 2.4e5 times
 the interpolant's error.  So banded LU with partial pivoting (convection
 dominance can destroy diagonal dominance; LAPACK dgbsv) is followed by
 fixed-precision iterative refinement until a stopping rule holds: each
-step's residual applies the element operator block by block, with
-derivatives taken from each element's nodal values minus its first, and
-its correction reuses the LU factors.
+step's residual applies the assembled element operator (the system's
+samples of a and c) block by block, with derivatives taken from each
+element's nodal values minus its first, and its correction reuses the LU
+factors.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -151,7 +153,13 @@ class LinearSystem:
     second solve or `apply_system` is a ValueError.
     `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
     (None for Galerkin) define the element operator that `solve_banded`'s
-    refinement applies.
+    refinement applies, from `samples`: one (span, a, c) per assembly
+    block, a and c at the span's (q, nel_b) quadrature points.  Assembly
+    hands over the arrays it sampled; a system made without them samples
+    the problem here (`_block_samples`).  Spans that do not tile the mesh,
+    or arrays of another shape, are a ValueError.  A `replace` that
+    changes `problem`, `mesh`, `order` or `quad_points` must pass
+    `samples=()`.
     """
 
     storage: np.ndarray
@@ -162,6 +170,7 @@ class LinearSystem:
     problem: Problem
     quad_points: int = 0
     deltas: Optional[np.ndarray] = None
+    samples: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         shape, expected = self.storage.shape, (3 * self.order + 1, self.rhs.size)
@@ -170,6 +179,22 @@ class LinearSystem:
         if not self.storage.flags.f_contiguous:
             raise ValueError("LU storage must be Fortran-contiguous")
         self.rhs.setflags(write=False)
+        q, nel = self.quad_points or self.order + 3, self.mesh.n_intervals
+        if not self.samples:
+            points = _element_tables(self.order, self.family, q).rule.points
+            blocks = _blocks(self.mesh)
+            samples = tuple((b.span, *_block_samples(self.problem, b, points, False)) for b in blocks)
+            object.__setattr__(self, "samples", samples)
+        e0 = 0
+        for span, aq, cq in self.samples:
+            if span.start != e0 or span.step is not None or not e0 < span.stop <= nel:
+                raise ValueError(f"sample spans do not tile the mesh's {nel} elements")
+            expected = (q, span.stop - e0)
+            if not aq.shape == cq.shape == expected:
+                raise ValueError(f"samples of elements {e0}..{span.stop} are not {expected} arrays")
+            e0 = span.stop
+        if e0 != nel:
+            raise ValueError(f"sample spans do not tile the mesh's {nel} elements")
 
     @property
     def bands(self) -> np.ndarray:
@@ -327,8 +352,9 @@ def _add_local(vec: np.ndarray, loc: np.ndarray, span: slice, k: int) -> None:
     vec[span.start * k + k : span.stop * k + k : k] += loc[k]
 
 
-def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> None:
-    """Add the block's elements into the full-mesh bands and rhs."""
+def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> tuple:
+    """Add the block's elements into the full-mesh bands and rhs; return
+    the block's span, a and c samples (an entry of LinearSystem.samples)."""
     h, e0 = block.lengths, block.span.start
     aq, cq, fq = _block_samples(problem, block, tables.rule.points, load=True)
     w, eps = tables.rule.weights[:, None], problem.eps
@@ -362,6 +388,7 @@ def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> None:
     for jj in range(k + 1):
         bands[k - jj : 2 * k + 1 - jj, e0 * k + jj : (e0 + h.size) * k + jj : k] += loc[:, jj, :]
     _add_local(rhs, rhs_loc, block.span, k)
+    return block.span, aq, cq
 
 
 def _assemble(
@@ -378,14 +405,17 @@ def _assemble(
     nel = mesh.n_intervals
     storage = np.zeros((3 * k + 1, nel * k + 1), order="F")  # LU storage (see LinearSystem)
     bands, rhs = storage[k:], np.zeros(nel * k + 1)
+    # a loop: before Python 3.12 a comprehension's own frame would be the
+    # one an out-of-memory message names
+    samples = []
     for block in _blocks(mesh):
-        _assemble_block(problem, block, k, tables, deltas, bands, rhs)
+        samples.append(_assemble_block(problem, block, k, tables, deltas, bands, rhs))
 
     # homogeneous Dirichlet: drop first and last row/column; in diagonal
     # ordered storage that is a column slice; the slots of eliminated rows
     # keep their values, and no reader looks there
     return LinearSystem(
-        storage[:, 1:-1], rhs[1:-1], mesh, k, family, problem, quad_points, deltas
+        storage[:, 1:-1], rhs[1:-1], mesh, k, family, problem, quad_points, deltas, tuple(samples)
     )
 
 
@@ -442,19 +472,19 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
     """
     rhs - A_elem x for the nodal coefficients `coeffs` (x is coeffs[1:-1]),
     with the Galerkin operator, plus the SD terms when the system has
-    deltas, applied element by element in BLOCK_ELEMENTS blocks from a and
-    c at the assembly points.  v' and v'' come from each
+    deltas, applied element by element over the spans of the system's
+    samples, from their a and c: the problem is not evaluated.  The SD
+    weight (delta a) w is formed on each call.  v' and v'' come from each
     element's nodal values minus its first, so a nearly constant v loses
     no digits to the differencing.
     """
-    k, problem, deltas, mesh = system.order, system.problem, system.deltas, system.mesh
+    k, deltas, lengths = system.order, system.deltas, system.mesh.lengths
     tables = _element_tables(k, system.family, system.quad_points or k + 3)
     V, D1, D2 = tables.V, tables.D1, tables.D2
-    eps, w = problem.eps, tables.rule.weights[:, None]
-    ax = np.zeros(coeffs.size)
-    for block in _blocks(mesh, coeffs, k):
-        h, u = block.lengths, block.local
-        aq, cq = _block_samples(problem, block, tables.rule.points, load=False)
+    eps, w = system.problem.eps, tables.rule.weights[:, None]
+    ax, windows = np.zeros(coeffs.size), _windows(coeffs, k)
+    for span, aq, cq in system.samples:
+        h, u = lengths[span], windows[span].T
         du = u[1:] - u[:1]
         dv = (D1[1:].T @ du) / h  # v' at the points, (q, nel_b)
         strong = aq * dv + cq * (V.T @ u)
@@ -470,11 +500,11 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
                 dv *= eps
                 dv /= h * h
                 strong -= dv
-            np.multiply(deltas[block.span], aq, out=dv)
+            np.multiply(deltas[span], aq, out=dv)
             dv *= w
             dv *= strong
             with_d1 += dv
-        _add_local(ax, tables.load @ stacked.reshape(-1, h.size), block.span, k)
+        _add_local(ax, tables.load @ stacked.reshape(-1, h.size), span, k)
     # the two boundary entries collect rows that Dirichlet elimination drops
     r = ax[1:-1]
     np.subtract(system.rhs, r, out=r)
@@ -483,7 +513,7 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
 
 def _max_abs(v: np.ndarray) -> float:
     """||v||_inf without an array of |v|; nan if v holds a NaN."""
-    return max(np.max(v), -np.min(v))
+    return max(v.max(), -v.min())
 
 
 def _contract(r: np.ndarray, x_max: float, norm_a: float, norm_b: float) -> float:
@@ -523,23 +553,26 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
         raise SolverError("banded LU failed: array must not contain infs or NaNs")
     # dgbsv (banded LU with partial pivoting) in place on the storage and
     # on the interior of the nodal coefficients, whose boundary entries stay 0
-    coeffs = np.pad(rhs, 1)
+    coeffs = np.zeros(rhs.size + 2)
     x = coeffs[1:-1]
+    x[:] = rhs
     lu, piv, _, info = lapack.dgbsv(k, k, ab, x, overwrite_ab=1, overwrite_b=1)
     ab.setflags(write=False)
     if info > 0:
         raise SolverError("banded LU failed: singular matrix")
-    if not np.all(np.isfinite(x)):
+    # ||x||, nan where x holds a NaN: a finite check without a bool array
+    x_max = _max_abs(x)
+    if not np.isfinite(x_max):
         raise SolverError("banded LU produced non-finite values (singular system?)")
     r = _element_residual(system, coeffs)
-    _contract(r, _max_abs(x), norm_a, norm_b)
+    _contract(r, x_max, norm_a, norm_b)
     steps = []
     for i in range(MAX_STEPS):
         lapack.dgbtrs(lu, k, k, r, piv, overwrite_b=1)  # r becomes the step dx
         x += r
-        if not np.all(np.isfinite(x)):
-            raise SolverError("the refinement step produced non-finite values")
         x_max = _max_abs(x)
+        if not np.isfinite(x_max):
+            raise SolverError("the refinement step produced non-finite values")
         steps.append(_max_abs(r) / x_max if x_max else 0.0)
         del r  # freed before the next residual
         r = _element_residual(system, coeffs)

@@ -98,6 +98,26 @@ def nan_coefficient_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
     return replace(base, coeff_c=lambda x: np.where(x == 0.5, np.nan, c(x)))
 
 
+def counting_problem(calls: list, eps: float = 1e-6, lam: float = 0.25) -> Problem:
+    """The manufactured problem whose b, c and f append "b", "c" and "f"
+    to `calls` at each evaluation."""
+    base = make_test_problem(eps, lam)
+
+    def counted(name, evaluate):
+        def wrapper(x):
+            calls.append(name)
+            return evaluate(x)
+
+        return wrapper
+
+    return replace(
+        base,
+        coeff_b=counted("b", base.coeff_b),
+        coeff_c=counted("c", base.coeff_c),
+        rhs_f=counted("f", base.rhs_f),
+    )
+
+
 def no_exact_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
     """The manufactured problem's data without its exact solution; also a
     registry factory."""
@@ -117,7 +137,7 @@ def starve_assembly(monkeypatch, max_columns: int = 0) -> None:
     def starved(problem, blk, k, tables, deltas, bands, rhs):
         if bands.shape[1] > max_columns:
             raise MemoryError(OOM_TEXT)
-        block(problem, blk, k, tables, deltas, bands, rhs)
+        return block(problem, blk, k, tables, deltas, bands, rhs)
 
     monkeypatch.setattr(cuspfem.assembly, "_assemble_block", starved)
 

@@ -13,6 +13,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from helpers import (
     bands_to_dense,
+    counting_problem,
     discrete_l2,
     einsum_reference_assembly,
     loop_add_local,
@@ -837,6 +838,86 @@ class TestSolver:
         assert np.all(np.isfinite(fn([-1.0, 1.0], d=2)))
 
 
+class TestSampleHandover:
+    # assembly hands its a and c samples to the system, and the refinement
+    # residual applies them over assembly's blocks
+    @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
+    def test_solve_evaluates_no_coefficient(self, method, monkeypatch):
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 16)
+        eps, k, calls = 1e-6, 4, []
+        prob = counting_problem(calls, eps)
+        mesh = build_mesh(MeshParams(eps, 32, k, 0.25))
+        if method == "galerkin":
+            system = assemble_galerkin(prob, mesh, k)
+        else:
+            system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
+        assert {"b", "c", "f"} <= set(calls) and len(system.samples) == 4
+        calls.clear()
+        solve_banded(system)
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_system_made_without_samples_samples_the_problem(self, k, monkeypatch):
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 5)
+        eps = 1e-6
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 8, k, 0.25))
+        stab = compute_deltas(mesh, eps)
+        coeffs = np.random.default_rng(k).standard_normal(mesh.n_intervals * k + 1)
+        for assembled in (assemble_galerkin(prob, mesh, k), assemble_sdfem(prob, mesh, k, stab=stab)):
+            storage = np.asfortranarray(assembled.storage.copy())
+            made = LinearSystem(storage, assembled.rhs, mesh, k, "uniform", prob, 0, assembled.deltas)
+            assert len(made.samples) == len(assembled.samples) == 4
+            for new, ref in zip(made.samples, assembled.samples):
+                assert new[0] == ref[0]
+                assert np.array_equal(new[1], ref[1]) and np.array_equal(new[2], ref[2])
+            assert np.array_equal(_element_residual(made, coeffs), _element_residual(assembled, coeffs))
+            new, ref = solve_banded(made), solve_banded(assembled)
+            assert np.array_equal(new.coefficients, ref.coefficients)
+            assert (new.residual, new.steps) == (ref.residual, ref.steps)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_residual_walks_the_blocks_of_assembly(self, k, monkeypatch):
+        # assembled in blocks of 3 and solved under the default, a system
+        # gives the bits of one assembled and solved wholly in blocks of 3
+        eps = 1e-6
+        prob = make_test_problem(eps, 0.25)
+        mesh = build_mesh(MeshParams(eps, 8, k, 0.25))
+        stab = compute_deltas(mesh, eps)
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 3)
+        mixed, whole = (assemble_sdfem(prob, mesh, k, stab=stab) for _ in range(2))
+        assert [s.stop - s.start for s, _, _ in mixed.samples] == [3, 3, 3, 3, 3, 1]
+        ref = solve_banded(whole)
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+        new = solve_banded(mixed)
+        assert np.array_equal(new.coefficients, ref.coefficients)
+        assert (new.residual, new.steps) == (ref.residual, ref.steps)
+
+    def test_samples_that_do_not_fit_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 3)
+        k = 2
+        prob = make_test_problem(1e-6, 0.25)
+        mesh = build_mesh(MeshParams(1e-6, 4, k, 0.25))  # 8 elements: 3, 3, 2
+        system = assemble_galerkin(prob, mesh, k)
+        (s0, a0, c0), (s1, a1, c1), last = system.samples
+        untiled = [
+            (last,),  # does not start at 0
+            ((s0, a0, c0), (s1, a1, c1)),  # ends short of the mesh
+            ((s0, a0, c0), (s0, a0, c0), (s1, a1, c1), last),  # overlaps
+            ((slice(0, 8, 2), a0, c0), (s1, a1, c1), last),  # strided
+            (*system.samples, (slice(8, 9), a0[:, :1], c0[:, :1])),  # beyond the mesh
+        ]
+        for samples in untiled:
+            with pytest.raises(ValueError, match="do not tile"):
+                dataclasses.replace(system, samples=samples)
+        for a, c in [(a0[:-1], c0), (a0, c0[1:]), (a0[:, :2], c0[:, :2])]:
+            with pytest.raises(ValueError, match="are not"):
+                dataclasses.replace(system, samples=((s0, a, c), (s1, a1, c1), last))
+        with pytest.raises(ValueError, match=r"are not \(6, 3\) arrays"):
+            dataclasses.replace(system, quad_points=k + 4)  # its samples are of k + 3 points
+        assert len(dataclasses.replace(system, quad_points=k + 4, samples=()).samples) == 3
+
+
 def traced_peak(fn, *args, **kwargs):
     """fn's result and the peak bytes it allocated beyond what it started with."""
     tracemalloc.start()
@@ -907,8 +988,10 @@ class TestWorkingMemory:
                 mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
                 kwargs = {"stab": compute_deltas(mesh, eps)} if assemble is assemble_sdfem else {}
                 system, peak = traced_peak(assemble, prob, mesh, k, **kwargs)
-                # the arrays that hold the bands (LU storage) and rhs
-                extra.append(peak - system.bands.base.nbytes - system.rhs.base.nbytes)
+                # the arrays that hold the bands (LU storage), rhs and samples
+                held = system.bands.base.nbytes + system.rhs.base.nbytes
+                held += sum(a.nbytes + c.nbytes for _, a, c in system.samples)
+                extra.append(peak - held)
             assert extra[1] <= extra[0] + 64 * 1024
 
     # One SDFEM block of 8192 elements at k = 4: its arrays of q = k + 3
@@ -939,8 +1022,9 @@ class TestWorkingMemory:
 
     def test_sdfem_residual_weights_are_its_only_copy(self, sdfem_block, monkeypatch):
         # the residual holds its n-vector, the block's differences (k rows),
-        # a, c, v', the strong residual, its two halves of weights and one
-        # temporary; the SD terms are formed in place
+        # v', the strong residual, its two halves of weights and one
+        # temporary; a and c are the system's samples, and the SD terms are
+        # formed in place
         prob, mesh, stab = sdfem_block
         k, rows = 4, 8 * mesh.n_intervals
         system = assemble_sdfem(prob, mesh, k, stab=stab)
@@ -954,19 +1038,21 @@ class TestWorkingMemory:
         )
         traced_peak(_element_residual, system, coeffs)
         assert len(peaks) == 1
-        assert peaks[0] <= coeffs.nbytes + (k + 7 * (k + 3)) * rows + 256 * 1024
+        assert peaks[0] <= coeffs.nbytes + (k + 5 * (k + 3)) * rows + 256 * 1024
 
     @pytest.mark.parametrize("n_half", [4096, 16384])
     def test_case_peaks_at_its_storage_and_four_vectors(self, n_half):
         # one case holds assembly's (3k+1, n+2) LU storage, the rhs, the
-        # solve's 2.5 n-vectors (coefficients, residual, int32 pivots) and
-        # the per-block temporaries of assembly and the element residual
+        # samples of a and c (k+3 points an element each), the solve's 2.5
+        # n-vectors (coefficients, residual, int32 pivots) and the per-block
+        # temporaries of assembly and the element residual
         eps, k = 1e-10, 8
         prob = make_test_problem(eps, 0.25)
         mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
         stab = compute_deltas(mesh, eps)
         n = 2 * n_half * k - 1
-        bound = (3 * k + 1) * (n + 2) * 8 + (n + 2) * 8 + 4 * n * 8 + 1024 * 1024
+        samples = 2 * (k + 3) * 2 * n_half * 8
+        bound = (3 * k + 1) * (n + 2) * 8 + (n + 2) * 8 + samples + 4 * n * 8 + 1024 * 1024
         for assemble in (
             lambda: assemble_galerkin(prob, mesh, k),
             lambda: assemble_sdfem(prob, mesh, k, stab=stab),
