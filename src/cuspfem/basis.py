@@ -17,6 +17,7 @@ import numpy as np
 from ._lapack import lapack
 
 FAMILIES = ("uniform", "gauss-lobatto")
+MAX_ORDER = 8  # the highest k whose barycentric basis is stable
 
 
 def _check_family(family: str) -> None:
@@ -33,8 +34,8 @@ def reference_nodes(k: int, family: str = "uniform") -> np.ndarray:
     derivative of the degree-k Legendre polynomial, mapped to [0, 1].
     """
     k = int(k)
-    if not 1 <= k <= 8:
-        raise ValueError(f"polynomial order must be in 1..8, got {k}")
+    if not 1 <= k <= MAX_ORDER:
+        raise ValueError(f"polynomial order must be in 1..{MAX_ORDER}, got {k}")
     _check_family(family)
     if family == "uniform":
         return np.linspace(0.0, 1.0, k + 1)

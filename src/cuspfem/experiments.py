@@ -33,6 +33,7 @@ from .assembly import (
     compute_deltas,
     solve_banded,
 )
+from .basis import MAX_ORDER
 from .mesh import MeshConstructionError, MeshParams, build_mesh, mesh_header, save_mesh, validate_mesh
 from .norms import NORM_NAMES, QuadSpec, error_norms
 from .problem import make_problem, problem_names
@@ -71,6 +72,9 @@ class SweepConfig:
             raise ValueError("n_list must be strictly ascending")
         if not (self.eps_list and self.n_list and self.k_list):
             raise ValueError("eps_list, n_list and k_list must be nonempty")
+        for k in self.k_list:
+            if not 1 <= k <= MAX_ORDER:
+                raise ValueError(f"polynomial order must be in 1..{MAX_ORDER}, got {k}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -96,6 +100,8 @@ class ConvergenceRow:
     residual_ok: bool = False
     mesh_ok: bool = False
     error: Optional[str] = None
+    # not a table column: the first violation of a mesh that failed validation
+    mesh_violation: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,7 @@ def _run_case(config: SweepConfig, prob, eps: float, n: int, k: int) -> Converge
         **vars(report),  # asdict would deep-copy the four floats
         residual_ok=bool(fn.residual <= RESIDUAL_TOL),
         mesh_ok=diag.ok,
+        mesh_violation=diag.violations[0] if diag.violations else None,
     )
 
 
@@ -193,14 +200,14 @@ def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
     return rows
 
 
-CONVERGENCE_COLUMNS = ("eps", "N", "K", "k") + tuple(f.name for f in fields(ConvergenceRow)[4:])
+CONVERGENCE_COLUMNS = ("eps", "N", "K", "k") + tuple(f.name for f in fields(ConvergenceRow)[4:-1])
 
 # the CLI's `solve` layout; family and policy come from the SweepConfig
 ERROR_REPORT_COLUMNS = ("eps", "N", "k", "family", "policy") + NORM_NAMES
 
 
 def convergence_table(rows: list[ConvergenceRow]) -> Table:
-    return Table(CONVERGENCE_COLUMNS, tuple(astuple(r) for r in rows))
+    return Table(CONVERGENCE_COLUMNS, tuple(astuple(r)[:-1] for r in rows))
 
 
 def ratio_table(rows: list[ConvergenceRow], norm: str = "energy") -> Table:
@@ -483,7 +490,16 @@ def main(argv=None) -> int:
             _require_single(config, "solve")
         rows = run_convergence(config)
         failures = [r.error for r in rows if r.error is not None]
-        return _print_table(args, _layout(args.command, config, rows), failures)
+        code = _print_table(args, _layout(args.command, config, rows), failures)
+        if args.command != "converge":  # converge's rows have a mesh_ok column
+            for r in rows:
+                if r.mesh_violation is not None:
+                    print(
+                        f"mesh violation: eps {r.eps!r}, N {r.n_half}, k {r.order}: "
+                        f"{r.mesh_violation}",
+                        file=sys.stderr,
+                    )
+        return code
     except _CASE_ERRORS as exc:  # mesh and sample; MeshConstructionError is a ValueError
         print(f"error: {_case_message(exc)}", file=sys.stderr)
         return 2

@@ -11,10 +11,12 @@ result is mirrored across 0.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -104,13 +106,60 @@ def _decade_bounds(big_k: int) -> np.ndarray:
     return np.concatenate(([0.0], 10.0 ** -np.arange(big_k, 0, -1), [1.0]))
 
 
-def _decade_parts(n_half: int, big_k: int) -> np.ndarray:
+def _decade_parts(n_half: int, big_k: int) -> tuple[int, ...]:
     """Equal-part counts per decade, innermost first, summing to n_half."""
     n0, extra = divmod(n_half, big_k + 1)
-    parts = np.full(big_k + 1, n0, dtype=int)
-    if extra:
-        parts[-extra:] += 1  # the `extra` outermost decades get one part more
-    return parts
+    # the `extra` outermost decades get one part more
+    return (n0,) * (big_k + 1 - extra) + (n0 + 1,) * extra
+
+
+@dataclass(eq=False)
+class _NodeSet:
+    """The nodes and lengths of one (N, K), shared read-only by every mesh
+    built with them, and, once a mesh of them is validated, the outcome of
+    `_node_checks` on them."""
+
+    n_half: int
+    big_k: int
+    nodes: np.ndarray
+    lengths: np.ndarray
+    checks: Optional[tuple] = None
+
+    def owns(self, mesh: Mesh) -> bool:
+        """Whether `mesh` holds these very arrays and is of this (N, K)."""
+        return (
+            mesh.nodes is self.nodes
+            and mesh.lengths is self.lengths
+            and (mesh.params.n_half, mesh.big_k) == (self.n_half, self.big_k)
+        )
+
+
+# id(nodes) -> the node set that holds them, while that set lives
+_NODE_SETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+# A bound, not a run's count of distinct sets: a set holds 32 bytes per
+# half-mesh interval, and a long-lived process keeps at most eight
+@functools.lru_cache(maxsize=8)
+def _node_set(parts: tuple[int, ...]) -> _NodeSet:
+    """The node set whose decades, innermost first, have `parts` parts."""
+    n, big_k = sum(parts), len(parts) - 1
+    bounds = _decade_bounds(big_k)
+    steps = np.diff(bounds) / parts
+    nodes = np.empty(2 * n + 1)
+    right = nodes[n:]
+    start = 0
+    for lo, step, m in zip(bounds, steps, parts):
+        # lo + 0 * step is lo, so every decade starts exactly at its power of ten
+        decade = right[start : start + m]
+        np.multiply(np.arange(m), step, out=decade)
+        decade += lo
+        start += m
+    right[n] = 1.0
+    np.negative(right[:0:-1], out=nodes[:n])
+    shared = _NodeSet(n, big_k, nodes, np.diff(nodes))
+    _NODE_SETS[id(shared.nodes)] = shared
+    return shared
 
 
 def build_mesh(params: MeshParams) -> Mesh:
@@ -119,6 +168,11 @@ def build_mesh(params: MeshParams) -> Mesh:
     K+1-N0 innermost decades are divided into n0 equal parts and the N0
     outermost into n0+1, giving exactly N intervals on (0, 1]; the left half
     is the mirror image, so nodes come in exact +/- pairs.
+
+    The nodes depend on N and K alone, so meshes of equal (N, K) share one
+    pair of read-only `nodes` and `lengths` arrays, which a small cache of
+    the last few node sets hands out; each call still returns its own
+    `Mesh` with its own params, sigma and branch.
     """
     sigma, branch = compute_sigma(params)
     big_k = compute_big_k(sigma)
@@ -128,13 +182,8 @@ def build_mesh(params: MeshParams) -> Mesh:
             f"mesh too coarse for layer structure: n_half={n} cannot fill "
             f"{big_k + 1} decade subintervals; need n_half >= {big_k + 1}"
         )
-    bounds = _decade_bounds(big_k)
-    parts = _decade_parts(n, big_k)
-    steps = np.diff(bounds) / parts
-    # lo + 0 * step is lo, so every decade starts exactly at its power of ten
-    right = np.hstack([lo + np.arange(m) * s for lo, s, m in zip(bounds, steps, parts)] + [1.0])
-    nodes = np.concatenate((-right[:0:-1], right))
-    return Mesh(params, sigma, branch, big_k, nodes, np.diff(nodes))
+    shared = _node_set(_decade_parts(n, big_k))
+    return Mesh(params, sigma, branch, big_k, shared.nodes, shared.lengths)
 
 
 @dataclass(frozen=True)
@@ -149,6 +198,42 @@ class MeshDiagnostics:
         return not self.violations
 
 
+def _node_checks(nodes: np.ndarray, lengths: np.ndarray, n: int, big_k: int) -> tuple:
+    """The checks that read only the nodes, N and K: the violations reported
+    before the sigma bracket, the largest length, and the decade violations
+    reported after it."""
+    head: list[str] = []
+    if lengths.size != 2 * n:
+        head.append(f"interval count {lengths.size} != 2N = {2 * n}")
+    if not np.all(lengths > 0.0):
+        head.append("nodes not strictly increasing")
+    if nodes[0] != -1.0 or nodes[-1] != 1.0:
+        head.append("endpoints differ from -1, 1")
+    mid = nodes.size // 2
+    if nodes.size % 2 == 0 or nodes[mid] != 0.0:
+        head.append("0 is not the central node")
+    elif np.any(nodes[:mid] != -nodes[:mid:-1]):
+        head.append("nodes not symmetric about 0")
+
+    length_bound = (big_k + 1) / n
+    max_len = float(np.max(lengths)) if lengths.size else math.nan
+    if max_len > length_bound * (1.0 + 1e-12):
+        head.append(f"max interval length {max_len} exceeds (K+1)/N = {length_bound}")
+
+    decades: list[str] = []
+    bounds = _decade_bounds(big_k)
+    starts, ends = nodes[:-1], nodes[1:]
+    # an interval may end up to 2 ulps past its decade's end
+    tops = bounds[1:] + 2 * np.spacing(bounds[1:])
+    for lo, hi, top in zip(bounds[:-1], bounds[1:], tops):
+        # every lo is >= 0, so this checks the right half, which mirrors the left
+        sel = lengths[(starts >= lo) & (ends <= top)]
+        spread = sel.max() - sel.min() if sel.size else 0.0
+        if spread > 4.0 * np.spacing(hi):
+            decades.append(f"decade ({lo}, {hi}] not equidistant (spread {spread:.3e})")
+    return tuple(head), max_len, tuple(decades)
+
+
 def validate_mesh(mesh: Mesh) -> MeshDiagnostics:
     """
     Check the construction invariants and report violations (never raises):
@@ -156,43 +241,35 @@ def validate_mesh(mesh: Mesh) -> MeshDiagnostics:
     bound h_i <= (K+1)/N, the decade/sigma bracketing, per-decade
     equidistance (up to node-coordinate rounding), and in the regime where
     the N^-(2k+1) branch set sigma, x_1 <= (K+1) N^-(2k+2).
+
+    Meshes of equal (N, K) from `build_mesh` share read-only node and
+    length arrays, so the checks that read only those run once per shared
+    pair; the sigma bracket and the x_1 bound run on every call.  A mesh
+    with other arrays or another (N, K), such as one made by hand, is
+    checked in full.
     """
     p = mesh.params
     n, k, big_k = p.n_half, p.order, mesh.big_k
-    nodes, lengths = mesh.nodes, mesh.lengths
-    bad: list[str] = []
-    if lengths.size != 2 * n:
-        bad.append(f"interval count {lengths.size} != 2N = {2 * n}")
-    if not np.all(lengths > 0.0):
-        bad.append("nodes not strictly increasing")
-    if nodes[0] != -1.0 or nodes[-1] != 1.0:
-        bad.append("endpoints differ from -1, 1")
-    mid = nodes.size // 2
-    if nodes.size % 2 == 0 or nodes[mid] != 0.0:
-        bad.append("0 is not the central node")
-    elif np.any(nodes[:mid] != -nodes[:mid:-1]):
-        bad.append("nodes not symmetric about 0")
-
-    length_bound = (big_k + 1) / n
-    max_len = float(np.max(lengths)) if lengths.size else math.nan
-    if max_len > length_bound * (1.0 + 1e-12):
-        bad.append(f"max interval length {max_len} exceeds (K+1)/N = {length_bound}")
+    nodes = mesh.nodes
+    shared = _NODE_SETS.get(id(nodes))
+    if shared is not None and shared.owns(mesh):
+        # two threads may both find None; each stores the same outcome
+        if shared.checks is None:
+            shared.checks = _node_checks(nodes, mesh.lengths, n, big_k)
+        head, max_len, decades = shared.checks
+    else:
+        head, max_len, decades = _node_checks(nodes, mesh.lengths, n, big_k)
+    bad = list(head)
 
     # 10^-1 sigma <= 10^-K < sigma, with slack matching the K snap
     ten_mk = 10.0 ** -big_k
     if not (0.1 * mesh.sigma * (1.0 - 1e-9) <= ten_mk < mesh.sigma * (1.0 + 1e-9)):
         bad.append(f"10^-K = {ten_mk} outside [sigma/10, sigma) for sigma = {mesh.sigma}")
 
-    bounds = _decade_bounds(big_k)
-    for d in range(big_k + 1):
-        lo, hi = bounds[d], bounds[d + 1]
-        # every lo is >= 0, so this checks the right half, which mirrors the left
-        inside = (nodes[:-1] >= lo) & (nodes[1:] <= hi + 2 * np.spacing(hi))
-        sel = lengths[inside]
-        if sel.size and np.ptp(sel) > 4.0 * np.spacing(hi):
-            bad.append(f"decade ({lo}, {hi}] not equidistant (spread {np.ptp(sel):.3e})")
+    bad += decades
 
     if mesh.sigma_branch == "n":
+        mid = nodes.size // 2
         x1 = nodes[mid + 1] if nodes.size > mid + 1 else math.nan
         x1_bound = (big_k + 1) * float(n) ** (-2 * (k + 1))
         if x1 > x1_bound * (1.0 + 1e-12):

@@ -26,6 +26,7 @@ from helpers import (
 )
 
 import cuspfem.assembly
+import cuspfem.experiments
 import cuspfem.mesh
 import cuspfem.problem
 from cuspfem import (
@@ -538,6 +539,54 @@ def test_theorem_capped_sweep_csv_does_not_depend_on_workers(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 4
+
+
+@pytest.mark.parametrize("k_list", ["1,9", "0,1"])
+def test_order_outside_1_to_8_stops_before_any_case(k_list, monkeypatch, capsys):
+    # k = 9 was found only when its first case reached the basis, after
+    # every k = 1 case had been solved
+    solved = []
+    solve = cuspfem.experiments._solve
+    monkeypatch.setattr(
+        cuspfem.experiments, "_solve", lambda *args: solved.append(args) or solve(*args)
+    )
+    assert main(["converge", "--n", "64,128", "--k", k_list]) == 1
+    bad = k_list.split(",")[k_list.startswith("1")]
+    assert capsys.readouterr() == ("", f"config error: polynomial order must be in 1..8, got {bad}\n")
+    assert solved == []
+
+
+@pytest.mark.parametrize("verb", ["solve", "ratio", "eps-sweep", "converge"])
+def test_each_row_on_a_failing_mesh_is_named_on_stderr(verb, monkeypatch, capsys):
+    # only converge's rows have a mesh_ok column; the others say it on
+    # stderr, one line a row, and keep their exit status
+    planted = MeshDiagnostics(("planted violation", "second violation"), 0.5)
+    monkeypatch.setattr("cuspfem.experiments.validate_mesh", lambda mesh: planted)
+    argv = QUICK if verb == "solve" else SWEEP
+    assert main([verb, *argv]) == 0
+    out, err = capsys.readouterr()
+    if verb == "converge":
+        assert err == "" and out.count(",False,") == 8
+        return
+    cases = [(1e-6, 16, 1)] if verb == "solve" else [
+        (eps, n, k) for eps in (1.0, 1e-6) for k in (1, 2) for n in (16, 32)
+    ]
+    assert err == "".join(
+        f"mesh violation: eps {eps!r}, N {n}, k {k}: planted violation\n" for eps, n, k in cases
+    )
+
+
+def test_eps_sweep_with_shared_meshes_does_not_depend_on_workers(capsys):
+    # 32 cases on 14 node sets, more than the cache holds, built and
+    # validated by two threads
+    argv = ["eps-sweep", "--lambda", "0.25", "--eps", "1,1e-2,1e-4,1e-6,1e-8,1e-10,1e-12,1e-14",
+            "--n", "16,32", "--k", "2,1"]
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([*argv, "--workers", workers]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == "" and len(outputs[0].out.splitlines()) == 9
 
 
 @pytest.mark.parametrize(

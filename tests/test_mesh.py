@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -19,6 +22,7 @@ from cuspfem import (
     save_mesh,
     validate_mesh,
 )
+from cuspfem.mesh import _node_set
 
 getcontext().prec = 60
 
@@ -252,6 +256,105 @@ class TestValidateMesh:
             diag = validate_mesh(build_mesh(params))
             assert diag.ok, (params, diag.violations)
             done += 1
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestSharedNodeSets:
+    """Meshes of equal (N, K) share one cached pair of node and length
+    arrays, and the checks that read only those run once per pair."""
+
+    def test_cached_meshes_match_a_construction_without_the_cache(self):
+        previous, shared = None, 0
+        for n_half in (16, 64, 256, 1024, 4096):
+            for eps in 10.0 ** -np.arange(15.0):
+                for k in range(1, 9):
+                    for lam in (0.25, 1.0):
+                        params = MeshParams(eps, n_half, k, lam)
+                        try:
+                            mesh = build_mesh(params)
+                        except MeshConstructionError:
+                            continue
+                        nodes = loop_mesh_nodes(params)
+                        fresh = dataclasses.replace(mesh, nodes=nodes, lengths=np.diff(nodes))
+                        assert _bits(mesh.nodes) == _bits(fresh.nodes), params
+                        assert _bits(mesh.lengths) == _bits(fresh.lengths), params
+                        assert validate_mesh(mesh) == validate_mesh(fresh), params
+                        if previous is not None and (n_half, mesh.big_k) == previous[0]:
+                            # the set built last is still cached
+                            assert mesh.nodes is previous[1].nodes
+                            assert mesh.lengths is previous[1].lengths
+                            shared += 1
+                        previous = ((n_half, mesh.big_k), mesh)
+        assert shared > 500
+
+    def test_each_call_returns_its_own_mesh(self):
+        first = build_mesh(MeshParams(1e-8, 64, 1, 0.25))
+        second = build_mesh(MeshParams(2e-8, 64, 2, 0.25))
+        assert first.big_k == second.big_k
+        assert second.nodes is first.nodes and second.lengths is first.lengths
+        assert (first.params.eps, first.params.order) == (1e-8, 1)
+        assert first.sigma != second.sigma
+        assert not (first.nodes.flags.writeable or first.lengths.flags.writeable)
+
+    def test_moved_node_of_a_cached_set_is_reported(self):
+        mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))
+        assert validate_mesh(mesh).ok  # the set's node checks are now recorded
+        nodes = mesh.nodes.copy()
+        nodes[40] += 0.3 * (nodes[41] - nodes[40])
+        moved = Mesh(mesh.params, mesh.sigma, mesh.sigma_branch, mesh.big_k, nodes, np.diff(nodes))
+        spread = [v for v in validate_mesh(moved).violations if "not equidistant" in v]
+        assert len(spread) == 1, validate_mesh(moved).violations
+        # the set's own arrays with other lengths, or another N, are checked in full
+        other = dataclasses.replace(mesh, lengths=np.diff(nodes))
+        assert spread[0] in validate_mesh(other).violations
+        recount = dataclasses.replace(mesh, params=dataclasses.replace(mesh.params, n_half=33))
+        assert validate_mesh(recount).violations[0] == "interval count 64 != 2N = 66"
+        assert validate_mesh(build_mesh(MeshParams(1e-6, 32, 1, 0.25))).ok
+
+    def test_sets_beyond_the_bound_are_freed(self):
+        # N = 65536: a set is 4N doubles, 2 MB; eps 10^-j gives K = j + 1
+        # at k 1, lambda 0 (sigma = sqrt(eps)), up to K = 10
+        n_half, bound = 65536, _node_set.cache_info().maxsize
+        set_bytes = (4 * n_half + 1) * 8
+        tracemalloc.start()
+        try:
+            for j in range(bound + 4):
+                assert build_mesh(MeshParams(10.0 ** -(2 * j), n_half, 1, 0.0)).big_k == j + 1
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (bound - 1) * set_bytes < held <= bound * set_bytes + 64 * 1024
+
+
+    def test_threads_sharing_sets_get_the_full_verdicts(self):
+        # 4 threads on 2 CPUs build and validate 240 meshes of 12 (N, K)
+        # sets, more than the cache holds, switching threads every
+        # microsecond; a set's verdict may be computed twice, never wrongly
+        cases = [
+            MeshParams(10.0 ** -(2 * j), n_half, k, 0.0)
+            for j in range(6) for n_half in (64, 96) for k in (1, 2)
+        ] * 10
+
+        def verdicts(params):
+            mesh = build_mesh(params)
+            nodes = mesh.nodes.copy()
+            fresh = dataclasses.replace(mesh, nodes=nodes, lengths=np.diff(nodes))
+            return validate_mesh(mesh), validate_mesh(fresh)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(verdicts, params) for params in cases]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 240
+        for shared, fresh in results:
+            assert shared == fresh and shared.ok
 
 
 class TestSerialization:
