@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
@@ -34,7 +32,15 @@ from .assembly import (
     solve_banded,
 )
 from .basis import MAX_ORDER
-from .mesh import MeshConstructionError, MeshParams, build_mesh, mesh_header, save_mesh, validate_mesh
+from .mesh import (
+    MeshConstructionError,
+    MeshParams,
+    build_mesh,
+    check_lambda,
+    mesh_header,
+    save_mesh,
+    validate_mesh,
+)
 from .norms import NORM_NAMES, QuadSpec, error_norms
 from .problem import make_problem, problem_names
 
@@ -63,7 +69,6 @@ class SweepConfig:
     delta_policy: str = "standard"
     quad_assembly: int = 0  # 0 selects the default k + 3
     quad_error: QuadSpec = QuadSpec()
-    workers: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -75,8 +80,7 @@ class SweepConfig:
         for k in self.k_list:
             if not 1 <= k <= MAX_ORDER:
                 raise ValueError(f"polynomial order must be in 1..{MAX_ORDER}, got {k}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            check_lambda(self.lam, k)
 
 
 @dataclass(frozen=True)
@@ -176,19 +180,17 @@ def _run_case(config: SweepConfig, prob, eps: float, n: int, k: int) -> Converge
 
 def run_convergence(config: SweepConfig) -> list[ConvergenceRow]:
     """
-    Solve every (eps, k, N) case and attach rates between consecutive
-    doubled N within each (eps, k) group.  Per-case failures land in the
-    row's `error` field and leave the other rows untouched.  Each eps's
-    Problem is made, and its lambda_bar checked, before any case runs and
-    shared by its cases.
+    Solve every (eps, k, N) case, one after another on the calling thread,
+    and attach rates between consecutive doubled N within each (eps, k)
+    group.  Per-case failures land in the row's `error` field and leave the
+    other rows untouched.  Each eps's Problem is made, and its lambda_bar
+    checked, before any case runs and shared by its cases.
     """
     problems = {eps: _make_problem(config, eps) for eps in dict.fromkeys(config.eps_list)}
-    cases = [
-        (config, problems[eps], eps, n, k)
+    rows = [
+        _run_case(config, problems[eps], eps, n, k)
         for eps in config.eps_list for k in config.k_list for n in config.n_list
     ]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        rows = list(pool.map(_run_case, *zip(*cases)))
     # n_list ascends, so N doubles from one row to the next only inside an
     # (eps, k) group
     for i, (cur, nxt) in enumerate(zip(rows, rows[1:])):
@@ -363,7 +365,9 @@ def _add_common(sp) -> None:
     )
     sp.add_argument("--out", help="output file path")
     sp.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
-    sp.add_argument("--workers", type=int)
+    # cases run one after another on the calling thread; the flag stays, taking
+    # only 1, for callers that still pass it
+    sp.add_argument("--workers", type=int, choices=(1,))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_flags(path: str, verb: str) -> list[str]:
     """The config file as `--key=value` flags: lists comma-joined, null
     values dropped, and `resolution` only for the verb that has it."""
+    import json
+
     try:
         with open(path) as fh:
             conf = json.load(fh)
@@ -418,6 +424,8 @@ def _require_single(config: SweepConfig, verb: str) -> tuple[float, int, int]:
 
 
 def _cmd_mesh(config: SweepConfig, args: argparse.Namespace) -> int:
+    import json
+
     eps, n, k = _require_single(config, "mesh")
     mesh = build_mesh(MeshParams(eps, n, k, config.lam))
     diag = validate_mesh(mesh)

@@ -12,7 +12,6 @@ result is mirrored across 0.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -47,8 +46,13 @@ class MeshParams:
             raise ValueError(f"n_half must be positive, got {self.n_half}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        if not 0.0 <= self.lam <= self.order + 1:
-            raise ValueError(f"lambda must lie in [0, k + 1] = [0, {self.order + 1}], got {self.lam}")
+        check_lambda(self.lam, self.order)
+
+
+def check_lambda(lam: float, order: int) -> None:
+    """Raise ValueError unless the layer exponent lies in [0, order + 1]."""
+    if not 0.0 <= lam <= order + 1:
+        raise ValueError(f"lambda must lie in [0, k + 1] = [0, {order + 1}], got {lam}")
 
 
 class SigmaResult(NamedTuple):
@@ -207,7 +211,7 @@ def _node_checks(nodes: np.ndarray, lengths: np.ndarray, n: int, big_k: int) -> 
         head.append(f"interval count {lengths.size} != 2N = {2 * n}")
     if not np.all(lengths > 0.0):
         head.append("nodes not strictly increasing")
-    if nodes[0] != -1.0 or nodes[-1] != 1.0:
+    if nodes.size == 0 or nodes[0] != -1.0 or nodes[-1] != 1.0:
         head.append("endpoints differ from -1, 1")
     mid = nodes.size // 2
     if nodes.size % 2 == 0 or nodes[mid] != 0.0:
@@ -219,6 +223,11 @@ def _node_checks(nodes: np.ndarray, lengths: np.ndarray, n: int, big_k: int) -> 
     max_len = float(np.max(lengths)) if lengths.size else math.nan
     if max_len > length_bound * (1.0 + 1e-12):
         head.append(f"max interval length {max_len} exceeds (K+1)/N = {length_bound}")
+
+    if lengths.size != nodes.size - 1:
+        # the decade scan pairs each length with its interval's end nodes
+        head.append(f"{lengths.size} lengths for {nodes.size} nodes")
+        return tuple(head), max_len, ()
 
     decades: list[str] = []
     bounds = _decade_bounds(big_k)
@@ -294,6 +303,8 @@ def mesh_header(mesh: Mesh) -> dict:
 def save_mesh(mesh: Mesh, path) -> None:
     """Write node coordinates as CSV (one per line, 17 significant digits)
     and the provenance header next to it as <path>.json."""
+    import json
+
     with open(path, "w") as fh:
         fh.write("".join(f"{x:.17g}\n" for x in mesh.nodes))
     with open(f"{path}.json", "w") as fh:

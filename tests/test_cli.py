@@ -100,9 +100,13 @@ class TestMeshVerb:
         assert np.array_equal(nodes, mesh.nodes)
         assert json.loads((tmp_path / "mesh.csv.json").read_text())["K"] == mesh.big_k
 
-    def test_full_config_validated(self, capsys):
-        assert main(["mesh", "--eps", "1e-4", "--n", "64", "--k", "2", "--workers", "0"]) == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_full_config_validated(self, workers, capsys):
+        # cases run on the calling thread; --workers takes only 1
+        with pytest.raises(SystemExit) as exc:
+            main(["mesh", "--eps", "1e-4", "--n", "64", "--k", "2", "--workers", workers])
+        assert exc.value.code == 1
+        assert f"argument --workers: invalid choice: {workers}" in capsys.readouterr().err
 
     def test_too_coarse_exits_2(self, capsys):
         code = main(["mesh", "--eps", "1e-40", "--n", "4", "--k", "8", "--lambda", "0.005"])
@@ -420,7 +424,7 @@ class TestConfigFile:
             "problem": "sun-stynes-example", "lambda": 0.5, "eps": [1e-6], "n": [16], "k": [2],
             "method": "sdfem", "family": "lobatto", "c0": 0.5, "delta_policy": "theorem-capped",
             "quad_assembly": 6, "quad_error_points": 4, "quad_error_panels": 2,
-            "out": str(tmp_path / "conf.md"), "format": "markdown", "workers": 2, "resolution": 11,
+            "out": str(tmp_path / "conf.md"), "format": "markdown", "workers": 1, "resolution": 11,
         }
         (tmp_path / "conf.json").write_text(json.dumps(conf))
         assert main(["sample", "--config", str(tmp_path / "conf.json")]) == 0
@@ -453,14 +457,24 @@ def test_invalid_setting_is_a_config_error(argv, capsys):
     assert "config error" in err and "row failure" not in err
 
 
-@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0"])
-def test_non_positive_or_non_finite_lambda_is_named(lam, capsys):
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ("nan", "lambda must lie in [0, k + 1] = [0, 2], got nan"),
+        ("inf", "lambda must lie in [0, k + 1] = [0, 2], got inf"),
+        ("-inf", "lambda must lie in [0, k + 1] = [0, 2], got -inf"),
+        # inside the mesh's [0, k + 1], but the problem needs lambda > 0
+        ("0", "not 0 < lam < inf: got lam = 0.0"),
+    ],
+    ids=["nan", "inf", "-inf", "0"],
+)
+def test_non_positive_or_non_finite_lambda_is_named(lam, message, capsys):
     # lambda = nan once passed make_test_problem and was reported as
     # "need c >= 0 on [-1, 1] and c(0) > 0", with a RuntimeWarning
     assert main(["converge", *SWEEP[2:], f"--lambda={lam}"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"config error: not 0 < lam < inf: got lam = {float(lam)}\n"
+    assert err == f"config error: {message}\n"
 
 
 def test_noncoercive_problem_fails_on_every_run(monkeypatch, capsys):
@@ -529,30 +543,29 @@ def test_nan_coefficient_is_a_config_error(monkeypatch, capsys):
     assert err.startswith("config error: ") and "row failure" not in err
 
 
-def test_theorem_capped_sweep_csv_does_not_depend_on_workers(capsys):
-    # the worker threads share each eps's Problem and its delta cap constant
-    argv = ["eps-sweep", *SWEEP, "--eps", "1,1e-4,1e-8", "--method", "sdfem",
-            "--delta-policy", "theorem-capped"]
-    outputs = []
-    for workers in ("1", "2"):
-        assert main([*argv, "--workers", workers]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 4
-
-
-@pytest.mark.parametrize("k_list", ["1,9", "0,1"])
-def test_order_outside_1_to_8_stops_before_any_case(k_list, monkeypatch, capsys):
-    # k = 9 was found only when its first case reached the basis, after
-    # every k = 1 case had been solved
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--k", "1,9"], "polynomial order must be in 1..8, got 9"),
+        (["--k", "0,1"], "polynomial order must be in 1..8, got 0"),
+        (
+            ["--eps", "1e-6", "--k", "4,1", "--lambda", "2.5"],
+            "lambda must lie in [0, k + 1] = [0, 2], got 2.5",
+        ),
+    ],
+    ids=["1,9", "0,1", "lambda-above-the-second-k"],
+)
+def test_order_outside_1_to_8_stops_before_any_case(argv, message, monkeypatch, capsys):
+    # k = 9, and a lambda above k + 1 for the list's second k, were found
+    # only when their first case built its mesh or basis, after every case
+    # of the first k had been solved
     solved = []
     solve = cuspfem.experiments._solve
     monkeypatch.setattr(
         cuspfem.experiments, "_solve", lambda *args: solved.append(args) or solve(*args)
     )
-    assert main(["converge", "--n", "64,128", "--k", k_list]) == 1
-    bad = k_list.split(",")[k_list.startswith("1")]
-    assert capsys.readouterr() == ("", f"config error: polynomial order must be in 1..8, got {bad}\n")
+    assert main(["converge", "--n", "64,128", *argv]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert solved == []
 
 
@@ -574,19 +587,6 @@ def test_each_row_on_a_failing_mesh_is_named_on_stderr(verb, monkeypatch, capsys
     assert err == "".join(
         f"mesh violation: eps {eps!r}, N {n}, k {k}: planted violation\n" for eps, n, k in cases
     )
-
-
-def test_eps_sweep_with_shared_meshes_does_not_depend_on_workers(capsys):
-    # 32 cases on 14 node sets, more than the cache holds, built and
-    # validated by two threads
-    argv = ["eps-sweep", "--lambda", "0.25", "--eps", "1,1e-2,1e-4,1e-6,1e-8,1e-10,1e-12,1e-14",
-            "--n", "16,32", "--k", "2,1"]
-    outputs = []
-    for workers in ("1", "2"):
-        assert main([*argv, "--workers", workers]) == 0
-        outputs.append(capsys.readouterr())
-    assert outputs[0] == outputs[1]
-    assert outputs[0].err == "" and len(outputs[0].out.splitlines()) == 9
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 import threading
 from dataclasses import replace
 
@@ -28,17 +27,6 @@ from cuspfem import (
 from cuspfem.experiments import CONVERGENCE_COLUMNS
 
 QUICK = dict(lam=0.25, eps_list=(1e-6,), n_list=(16, 32), k_list=(1,))
-
-
-@pytest.fixture
-def frequent_switches():
-    """Threads switch every microsecond, so races show."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 class TestConvergenceRate:
@@ -92,7 +80,7 @@ class TestRunConvergence:
         assert second.error == f"out of memory in _assemble: {OOM_TEXT}"
         assert math.isnan(second.energy) and second.big_k is None
 
-    def test_cases_run_on_the_pool_at_one_worker(self, monkeypatch):
+    def test_cases_run_on_the_calling_thread(self, monkeypatch):
         threads, run_case = [], cuspfem.experiments._run_case
 
         def recorded(*case):
@@ -100,8 +88,8 @@ class TestRunConvergence:
             return run_case(*case)
 
         monkeypatch.setattr(cuspfem.experiments, "_run_case", recorded)
-        assert run_convergence(SweepConfig(**QUICK, workers=1))[0].error is None
-        assert len(threads) == 2 and threading.main_thread() not in threads
+        assert run_convergence(SweepConfig(**QUICK))[0].error is None
+        assert threads == [threading.current_thread()] * 2
 
     def test_invalid_setting_raises_instead_of_failing_rows(self):
         config = SweepConfig(**QUICK, method="sdfem", c0=-1.0)
@@ -116,18 +104,9 @@ class TestRunConvergence:
             run_convergence(config)
         assert calls == []
 
-    def test_parallel_matches_serial(self):
-        base = SweepConfig(lam=0.25, eps_list=(1e-4, 1e-8), n_list=(16, 32), k_list=(1, 2))
-        serial = run_convergence(base)
-        parallel = run_convergence(
-            SweepConfig(lam=0.25, eps_list=(1e-4, 1e-8), n_list=(16, 32), k_list=(1, 2), workers=4)
-        )
-        assert serial == parallel
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_gamma_estimated_once_per_eps_per_run(self, monkeypatch, frequent_switches, workers):
-        # one Problem per eps, made (and so its gamma estimated) in the calling
-        # thread before the cases, whatever the number of worker threads
+    def test_gamma_estimated_once_per_eps_per_run(self, monkeypatch):
+        # one Problem per eps, made (and so its gamma estimated) before the
+        # cases and shared by them
         calls, profiles = [], []
         estimate, deltas = cuspfem.problem.gamma_estimate, cuspfem.experiments.compute_deltas
 
@@ -144,7 +123,7 @@ class TestRunConvergence:
         monkeypatch.setattr(cuspfem.experiments, "compute_deltas", recorded)
         config = SweepConfig(
             lam=0.25, eps_list=(1.0, 1e-4, 1e-8), n_list=(16, 32), k_list=(1, 2),
-            method="sdfem", delta_policy="theorem-capped", workers=workers,
+            method="sdfem", delta_policy="theorem-capped",
         )
         run_convergence(config)
         assert sorted(calls) == sorted(config.eps_list)
@@ -164,8 +143,6 @@ class TestRunConvergence:
             SweepConfig(method="collocation")
         with pytest.raises(ValueError, match="unknown format"):
             emit(Table(("a",), ()), "yaml")
-        with pytest.raises(ValueError):
-            SweepConfig(workers=0)
         with pytest.raises(ValueError):
             SweepConfig(n_list=())
 

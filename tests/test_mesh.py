@@ -206,6 +206,12 @@ BROKEN_MESHES = {
         m, sigma=m.sigma * 100
     ),
     "x_1 = 3.33": lambda m: dataclasses.replace(m, sigma_branch="n"),
+    # these two raised IndexError: the decade scan pairs lengths with nodes,
+    # and the endpoint check read nodes[0]
+    "31 lengths for 33 nodes": lambda m: dataclasses.replace(m, lengths=m.lengths[:-1].copy()),
+    "interval count 0 != 2N = 32": lambda m: dataclasses.replace(
+        m, nodes=np.empty(0), lengths=np.empty(0)
+    ),
 }
 
 

@@ -267,10 +267,11 @@ class TestGammaEstimate:
         # and dgbsv, which cuspfem._lapack takes from scipy's extension
         # modules alone, so the scipy.linalg namespace and what it pulls in
         # stay unloaded too; the error norms group elements without
-        # np.unique, which would import numpy.ma
+        # np.unique, which would import numpy.ma; cases run on the calling
+        # thread, and only the verbs that read or write JSON import json
         heavy = [
             "scipy.optimize", "scipy.linalg", "numpy.f2py", "numpy.testing", "charset_normalizer",
-            "numpy.ma",
+            "numpy.ma", "concurrent.futures", "logging", "json",
         ]
         argv = [
             "solve", "--eps", "1e-4", "--lambda", "0.25", "--n", "32", "--k", "2",
