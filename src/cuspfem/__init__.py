@@ -11,7 +11,6 @@ from .assembly import (
     LinearSystem,
     SolverError,
     StabilizationProfile,
-    apply_system,
     assemble_galerkin,
     assemble_sdfem,
     compute_deltas,

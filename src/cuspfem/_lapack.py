@@ -1,20 +1,18 @@
 """
-scipy's Fortran LAPACK and BLAS wrappers without the scipy.linalg namespace.
+scipy's Fortran LAPACK wrappers without the scipy.linalg namespace.
 
-cuspfem calls dgbsv, dgbtrs, dlangb and dsygvd from LAPACK, and from BLAS
-dgbmv, which only apply_system calls.  scipy wraps them in two modules,
-scipy.linalg._flapack and scipy.linalg._fblas.  `import scipy.linalg`
-would load them too, but it also runs the whole namespace's __init__,
-which pulls in numpy.f2py, numpy.testing and scipy's array-API layer:
-about 0.2 s and 20 MB of every CLI run.  So this module loads
-the two extension modules straight from scipy's linalg directory and
-registers them in sys.modules under their real names.  A later
-`import scipy.linalg` reuses the very same objects (its blas and lapack
-modules import them by name; the package itself then lacks the
-attributes _flapack and _fblas), and a module already imported is taken
-as it is.  Where the files are not found or do not load this way, it
-falls back to scipy.linalg's own blas and lapack modules, which give the
-same functions and are only slower to import.
+cuspfem calls dgbsv, dgbtrs, dlangb and dsygvd from LAPACK, which scipy
+wraps in one extension module, scipy.linalg._flapack.  `import
+scipy.linalg` would load it too, but it also runs the whole namespace's
+__init__, which pulls in numpy.f2py, numpy.testing and scipy's array-API
+layer: about 0.2 s and 20 MB of every CLI run.  So this module loads the
+extension module straight from scipy's linalg directory and registers it
+in sys.modules under its real name.  A later `import scipy.linalg` reuses
+the very same object (its lapack module imports it by name; the package
+itself then lacks the attribute _flapack), and a module already imported
+is taken as it is.  Where the file is not found or does not load this
+way, it falls back to scipy.linalg's own lapack module, which gives the
+same functions and is only slower to import.
 """
 
 from __future__ import annotations
@@ -49,6 +47,6 @@ def _extension(name: str):
     return module
 
 
-lapack, blas = _extension("_flapack"), _extension("_fblas")
-if lapack is None or blas is None:
-    from scipy.linalg import blas, lapack
+lapack = _extension("_flapack")
+if lapack is None:
+    from scipy.linalg import lapack

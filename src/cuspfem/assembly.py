@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._lapack import blas, lapack
+from ._lapack import lapack
 from .basis import QuadratureRule, ReferenceBasis, gauss_rule, estimate_c_inv
 from .mesh import Mesh
 from .problem import Problem
@@ -150,7 +150,7 @@ class LinearSystem:
     ValueError (LAPACK would factor a copy and leave the storage looking
     consumed).  `solve_banded` factors it in place, which consumes the
     system: the storage then holds LU factors and is read-only, and a
-    second solve or `apply_system` is a ValueError.
+    second solve is a ValueError.
     `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
     (None for Galerkin) define the element operator that `solve_banded`'s
     refinement applies, from `samples`: one (span, a, c) per assembly
@@ -448,26 +448,6 @@ def assemble_sdfem(
     return _assemble(problem, mesh, k, family, quad_points or k + 3, stab.deltas)
 
 
-def _unsolved(system: LinearSystem) -> np.ndarray:
-    """`storage`; a ValueError once solve_banded has factored it (read-only)."""
-    if not system.storage.flags.writeable:
-        raise ValueError("solve_banded consumed this system: its bands hold LU factors")
-    return system.storage
-
-
-def apply_system(system: LinearSystem, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with the eliminated (interior) matrix (BLAS dgbmv
-    on `storage`, whose zero fill rows add nothing); a system that
-    solve_banded consumed is a ValueError."""
-    n, k, x = system.dimension, system.order, np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x has shape {x.shape}; the system needs {n} entries")
-    ab, ku = _unsolved(system), 2 * k
-    if n < 3 * k + 1:  # scipy's dgbmv asks n >= kl + ku + 1: the band rows, copied
-        ab, ku = ab[k:], k
-    return blas.dgbmv(n, n, k, ku, 1.0, ab, x)
-
-
 def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
     """
     rhs - A_elem x for the nodal coefficients `coeffs` (x is coeffs[1:-1]),
@@ -545,8 +525,9 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
     or the bands are not the element operator, and for the returned x; the
     function records that value and each step's ||dx|| / ||x||.
     """
-    k, rhs = system.order, system.rhs
-    ab = _unsolved(system)
+    k, rhs, ab = system.order, system.rhs, system.storage
+    if not ab.flags.writeable:
+        raise ValueError("solve_banded consumed this system: its bands hold LU factors")
     norm_a = lapack.dlangb("I", k, 2 * k, ab)  # the fill rows are still zero
     norm_b = _max_abs(rhs)
     if not (np.isfinite(norm_a) and np.isfinite(norm_b)):

@@ -81,6 +81,8 @@ class SweepConfig:
             if not 1 <= k <= MAX_ORDER:
                 raise ValueError(f"polynomial order must be in 1..{MAX_ORDER}, got {k}")
             check_lambda(self.lam, k)
+            if self.quad_assembly and self.quad_assembly < k + 1:
+                raise ValueError(f"need quad_points >= k+1 = {k + 1}, got {self.quad_assembly}")
 
 
 @dataclass(frozen=True)

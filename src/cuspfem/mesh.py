@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -123,23 +122,9 @@ class _NodeSet:
     built with them, and, once a mesh of them is validated, the outcome of
     `_node_checks` on them."""
 
-    n_half: int
-    big_k: int
     nodes: np.ndarray
     lengths: np.ndarray
     checks: Optional[tuple] = None
-
-    def owns(self, mesh: Mesh) -> bool:
-        """Whether `mesh` holds these very arrays and is of this (N, K)."""
-        return (
-            mesh.nodes is self.nodes
-            and mesh.lengths is self.lengths
-            and (mesh.params.n_half, mesh.big_k) == (self.n_half, self.big_k)
-        )
-
-
-# id(nodes) -> the node set that holds them, while that set lives
-_NODE_SETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # A bound, not a run's count of distinct sets: a set holds 32 bytes per
@@ -161,9 +146,7 @@ def _node_set(parts: tuple[int, ...]) -> _NodeSet:
         start += m
     right[n] = 1.0
     np.negative(right[:0:-1], out=nodes[:n])
-    shared = _NodeSet(n, big_k, nodes, np.diff(nodes))
-    _NODE_SETS[id(shared.nodes)] = shared
-    return shared
+    return _NodeSet(nodes, np.diff(nodes))
 
 
 def build_mesh(params: MeshParams) -> Mesh:
@@ -176,7 +159,9 @@ def build_mesh(params: MeshParams) -> Mesh:
     The nodes depend on N and K alone, so meshes of equal (N, K) share one
     pair of read-only `nodes` and `lengths` arrays, which a small cache of
     the last few node sets hands out; each call still returns its own
-    `Mesh` with its own params, sigma and branch.
+    `Mesh` with its own params, sigma and branch.  The mesh carries its
+    node set as the attribute `_shared`; not being a field, it leaves eq,
+    hash and repr alone, and a `replace`d copy lacks it.
     """
     sigma, branch = compute_sigma(params)
     big_k = compute_big_k(sigma)
@@ -187,7 +172,9 @@ def build_mesh(params: MeshParams) -> Mesh:
             f"{big_k + 1} decade subintervals; need n_half >= {big_k + 1}"
         )
     shared = _node_set(_decade_parts(n, big_k))
-    return Mesh(params, sigma, branch, big_k, shared.nodes, shared.lengths)
+    mesh = Mesh(params, sigma, branch, big_k, shared.nodes, shared.lengths)
+    object.__setattr__(mesh, "_shared", shared)
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -254,14 +241,14 @@ def validate_mesh(mesh: Mesh) -> MeshDiagnostics:
     Meshes of equal (N, K) from `build_mesh` share read-only node and
     length arrays, so the checks that read only those run once per shared
     pair; the sigma bracket and the x_1 bound run on every call.  A mesh
-    with other arrays or another (N, K), such as one made by hand, is
-    checked in full.
+    not returned by `build_mesh`, `replace`d ones included, is checked in
+    full.
     """
     p = mesh.params
     n, k, big_k = p.n_half, p.order, mesh.big_k
     nodes = mesh.nodes
-    shared = _NODE_SETS.get(id(nodes))
-    if shared is not None and shared.owns(mesh):
+    shared = getattr(mesh, "_shared", None)
+    if shared is not None:
         # two threads may both find None; each stores the same outcome
         if shared.checks is None:
             shared.checks = _node_checks(nodes, mesh.lengths, n, big_k)

@@ -36,7 +36,6 @@ from cuspfem import (
     Problem,
     SolverError,
     StabilizationProfile,
-    apply_system,
     assemble_galerkin,
     assemble_sdfem,
     build_mesh,
@@ -275,42 +274,34 @@ class TestSystemStructure:
 
     @pytest.mark.parametrize("method", ["galerkin", "sdfem"])
     @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_apply_system_matches_dense(self, k, method):
-        # assembly's LU storage, and storage built from a copy of its bands
+    def test_element_residual_matches_dense(self, k, method):
+        # the refinement residual's element operator is the band matrix,
+        # up to rounding in the order of its sums
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
         if method == "galerkin":
             system = assemble_galerkin(prob, mesh, k)
         else:
             system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, 1e-4))
-        rebuilt = dataclasses.replace(system, storage=lu_storage(system.bands))
         dense = bands_to_dense(system)
+        norm_a, norm_b = np.abs(dense).sum(axis=1).max(), np.max(np.abs(system.rhs))
         rng = np.random.default_rng(4)
         for _ in range(5):
-            v = rng.standard_normal(system.dimension)
-            for sys_ in (system, rebuilt):
-                assert apply_system(sys_, v) == pytest.approx(dense @ v, rel=1e-13, abs=1e-13)
+            coeffs = np.zeros(system.dimension + 2)
+            coeffs[1:-1] = rng.standard_normal(system.dimension)
+            r = _element_residual(system, coeffs)
+            gap = np.max(np.abs(r - (system.rhs - dense @ coeffs[1:-1])))
+            assert gap <= 1e-13 * (norm_a * np.max(np.abs(coeffs)) + norm_b)
 
-    def test_apply_system_on_the_smallest_system(self):
-        # N = 2, k = 1 gives n = 3 < 3k + 1, where scipy's dgbmv refuses the
-        # LU storage's 3k + 1 rows
+    def test_element_residual_on_the_smallest_system(self):
+        # N = 2, k = 1 gives n = 3, one interior node per element
         prob = make_test_problem(1e-6, 0.25)
         mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
         system = assemble_galerkin(prob, mesh, 1)
-        v = np.array([1.0, -2.0, 3.0])
+        coeffs = np.array([0.0, 1.0, -2.0, 3.0, 0.0])
         assert system.dimension == 3
-        assert apply_system(system, v) == pytest.approx(bands_to_dense(system) @ v, rel=1e-15)
-
-    @pytest.mark.parametrize("wrong", ["n+3", "n-1", "column"])
-    def test_apply_system_rejects_x_of_another_shape(self, wrong):
-        # dgbmv alone would use a longer x truncated and fail on a shorter one
-        mesh = build_mesh(MeshParams(1e-4, 8, 2, 0.25))
-        system = assemble_galerkin(make_test_problem(1e-4, 0.25), mesh, 2)
-        n = system.dimension
-        x = np.ones({"n+3": (n + 3,), "n-1": (n - 1,), "column": (n, 1)}[wrong])
-        message = f"x has shape {x.shape}; the system needs {n} entries"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            apply_system(system, x)
+        expected = system.rhs - bands_to_dense(system) @ coeffs[1:-1]
+        assert _element_residual(system, coeffs) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     def test_sdfem_requires_matching_profile(self):
         prob = make_test_problem(1e-6, 0.25)
@@ -481,7 +472,7 @@ class TestSolver:
         system = assemble_galerkin(prob, mesh, 2)
         rng = np.random.default_rng(12)
         v = rng.standard_normal(system.dimension)
-        rhs = apply_system(system, v)
+        rhs = bands_to_dense(system) @ v
         forced = LinearSystem(lu_storage(system.bands), rhs, mesh, 2, "uniform", prob)
         fn = solve_banded(forced)
         assert fn.coefficients[1:-1] == pytest.approx(v, rel=1e-12, abs=1e-12)
@@ -501,7 +492,7 @@ class TestSolver:
         else:
             system = assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps))
         v = np.random.default_rng(k).standard_normal(system.dimension)
-        fn = solve_banded(dataclasses.replace(system, rhs=apply_system(system, v)))
+        fn = solve_banded(dataclasses.replace(system, rhs=bands_to_dense(system) @ v))
         assert np.max(np.abs(fn.coefficients[1:-1] - v)) <= 1e-10
 
     def test_residual_recorded_and_small(self):
@@ -572,18 +563,21 @@ class TestSolver:
         # A = tridiag(-1, 3, -2) and x = [1, X, X] give b = [3 - 2X, X - 1, 2X]:
         # x and b are finite, but A x forms 3X, which overflows, so the
         # relative residual would be inf / inf = nan, and nan > tol is False.
-        # The residual here is the band matrix's, from an unsolved copy
+        # The residual here is the band matrix's, densified before the solve
+        # factors it
         X = 6e307
         prob = make_test_problem(1e-6, 0.25)
         mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
         bands = [[0.0, -2.0, -2.0], [3.0, 3.0, 3.0], [-1.0, -1.0, 0.0]]
         rhs = np.array([3 - 2 * X, X - 1, 2 * X])
-        system, copy = (
-            LinearSystem(lu_storage(bands), rhs, mesh, 1, "uniform", prob) for _ in range(2)
-        )
-        monkeypatch.setattr(
-            "cuspfem.assembly._element_residual", lambda s, c: s.rhs - apply_system(copy, c[1:-1])
-        )
+        system = LinearSystem(lu_storage(bands), rhs, mesh, 1, "uniform", prob)
+        dense = bands_to_dense(system)
+
+        def band_residual(s, c):
+            with np.errstate(over="ignore"):  # the overflow is the point
+                return s.rhs - dense @ c[1:-1]
+
+        monkeypatch.setattr("cuspfem.assembly._element_residual", band_residual)
         with pytest.raises(SolverError, match="residual contract violated: .* not finite"):
             solve_banded(system)
 
@@ -677,15 +671,12 @@ class TestSolver:
         system = assemble_galerkin(prob, mesh, k)
         copied = dataclasses.replace(system, storage=lu_storage(system.bands))
         sharing = dataclasses.replace(system, rhs=system.rhs * 2)
-        x = np.ones(system.dimension)
         first = solve_banded(system)
         consumed = "solve_banded consumed this system: its bands hold LU factors"
         # a system that shares the storage is consumed with it
         for solved in (system, sharing):
             with pytest.raises(ValueError, match=consumed):
                 solve_banded(solved)
-            with pytest.raises(ValueError, match=consumed):
-                apply_system(solved, x)
         assert np.array_equal(solve_banded(copied).coefficients, first.coefficients)
         with pytest.raises(ValueError, match=consumed):
             solve_banded(copied)
@@ -716,8 +707,8 @@ class TestSolver:
 
         system = assemble()
         bands, rhs = system.bands.copy(), system.rhs.copy()
-        abs_system = LinearSystem(lu_storage(np.abs(bands)), rhs, mesh, k, "uniform", prob)
-        norm_a = np.max(apply_system(abs_system, np.ones(rhs.size)))
+        # each row summed in column order, as dlangb does
+        norm_a = np.cumsum(np.abs(bands_to_dense(system)), axis=1)[:, -1].max()
         fn = solve_banded(system)
         # before the refinement step: LAPACK dgbsv on scipy's band storage,
         # for every k (scipy.linalg.solve_banded takes dgtsv for k = 1)
@@ -964,21 +955,24 @@ class TestWorkingMemory:
         assert beyond[1] <= beyond[0] + 64 * 1024
 
     @pytest.mark.parametrize("k, n_half", [(1, 4096), (8, 1024)])
-    def test_apply_system_allocates_only_its_result(self, k, n_half):
-        # assembly returns Fortran-ordered LU storage, which dgbmv reads in
-        # place: the product allocates its n-vector result and no band copy
-        # or buffer
+    def test_element_residual_allocates_its_result_and_block_temporaries(self, k, n_half):
+        # the residual's one n-vector is its result; the rest are per-block
+        # arrays of at most BLOCK_ELEMENTS columns, the same at 4N as at N
         eps = 1e-10
         prob = make_test_problem(eps, 0.25)
-        mesh = build_mesh(MeshParams(eps, n_half, k, 0.25))
-        x = np.random.default_rng(k).standard_normal(2 * n_half * k - 1)
-        for system in (
-            assemble_galerkin(prob, mesh, k),
-            assemble_sdfem(prob, mesh, k, stab=compute_deltas(mesh, eps)),
-        ):
-            assert system.storage.flags.f_contiguous
-            _, peak = traced_peak(apply_system, system, x)
-            assert peak <= x.nbytes + 16 * 1024
+        for assemble in (assemble_galerkin, assemble_sdfem):
+            beyond = []
+            for n in (n_half, 4 * n_half):
+                mesh = build_mesh(MeshParams(eps, n, k, 0.25))
+                kwargs = {"stab": compute_deltas(mesh, eps)} if assemble is assemble_sdfem else {}
+                system = assemble(prob, mesh, k, **kwargs)
+                coeffs = np.zeros(system.dimension + 2)
+                coeffs[1:-1] = np.random.default_rng(k).standard_normal(system.dimension)
+                _element_residual(system, coeffs)  # the element tables are cached
+                r, peak = traced_peak(_element_residual, system, coeffs)
+                beyond.append(peak - r.base.nbytes)
+            assert beyond[0] <= 12 * (k + 3) * BLOCK_ELEMENTS * 8 + 256 * 1024
+            assert beyond[1] <= beyond[0] + 64 * 1024
 
     def test_assembly_memory_beyond_the_system_does_not_grow_with_n(self):
         eps, k = 1e-10, 8
@@ -1165,7 +1159,8 @@ class TestCoercivity:
         # gamma = 0.75 -> lower bound 0.5 * min(gamma, 1) = 0.375
         rng = np.random.default_rng(9)
         zero = zero_function(mesh, k)
+        dense = bands_to_dense(system)
         for _ in range(20):
             vfn = random_member(mesh, k, rng)
-            quad = float(vfn.coefficients[1:-1] @ apply_system(system, vfn.coefficients[1:-1]))
+            quad = float(vfn.coefficients[1:-1] @ (dense @ vfn.coefficients[1:-1]))
             assert quad >= 0.375 * sd_distance(vfn, zero, prob, stab) ** 2

@@ -305,6 +305,21 @@ class TestOtherVerbs:
         eps = [float(line.split(",")[0]) for line in lines[1:]]
         assert eps == [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14]
 
+    def test_eps_sweep_default_grid_checks_each_node_set_once(self, monkeypatch, capsys):
+        # the 64 cases build meshes of 14 (N, K) node sets, and each mesh
+        # carries its set, so a set's node checks run once, when it is made
+        checks, validate = cuspfem.mesh._node_checks, cuspfem.experiments.validate_mesh
+        calls, validated = [], []
+        monkeypatch.setattr(cuspfem.mesh, "_node_checks", lambda *a: calls.append(a) or checks(*a))
+        monkeypatch.setattr(
+            cuspfem.experiments, "validate_mesh", lambda mesh: validated.append(mesh) or validate(mesh)
+        )
+        cuspfem.mesh._node_set.cache_clear()
+        assert main(["eps-sweep"]) == 0
+        capsys.readouterr()
+        assert len(validated) == 64
+        assert len(calls) == cuspfem.mesh._node_set.cache_info().misses == 14
+
     def test_sample_resolution(self, capsys):
         assert main(["sample", *QUICK, "--resolution", "11"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -552,13 +567,17 @@ def test_nan_coefficient_is_a_config_error(monkeypatch, capsys):
             ["--eps", "1e-6", "--k", "4,1", "--lambda", "2.5"],
             "lambda must lie in [0, k + 1] = [0, 2], got 2.5",
         ),
+        (
+            ["--eps", "1e-6", "--k", "1,2", "--quad-assembly", "2"],
+            "need quad_points >= k+1 = 3, got 2",
+        ),
     ],
-    ids=["1,9", "0,1", "lambda-above-the-second-k"],
+    ids=["1,9", "0,1", "lambda-above-the-second-k", "quad-below-the-second-k"],
 )
 def test_order_outside_1_to_8_stops_before_any_case(argv, message, monkeypatch, capsys):
-    # k = 9, and a lambda above k + 1 for the list's second k, were found
-    # only when their first case built its mesh or basis, after every case
-    # of the first k had been solved
+    # k = 9, a lambda above k + 1 and a quadrature below k + 1 for the
+    # list's second k were found only when their first case built its mesh
+    # or basis or assembled, after every case of the first k had been solved
     solved = []
     solve = cuspfem.experiments._solve
     monkeypatch.setattr(

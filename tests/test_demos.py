@@ -7,6 +7,7 @@ public API or a flag that breaks one fails here.
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -38,6 +39,37 @@ CLI_EXAMPLES = [
 
 def test_demos_found():
     assert len(DEMOS) == 5
+
+
+def _names(path: Path) -> set[str]:
+    """Every Name, Attribute and import alias in the file's syntax tree."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_exported_name_has_a_user_beyond_the_tests():
+    # a name that only the tests use is no public API: each name that
+    # cuspfem/__init__.py imports is used by another module of the
+    # package, a demo or the benchmark harness (not its frozen seed copy)
+    package = ROOT / "src" / "cuspfem"
+    init = package / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [p for p in package.glob("*.py") if p != init] + DEMOS
+    used = set().union(*map(_names, users + sorted((ROOT / "perfbench").glob("*.py"))))
+    assert len(exported) > 40
+    assert sorted(exported - used) == []
 
 
 def run_python(args: list[str]) -> str:

@@ -8,8 +8,8 @@ from __future__ import annotations
 import pytest
 from helpers import run_python
 
-# the routines cuspfem calls, as (scipy.linalg module, name)
-ROUTINES = [("lapack", "dgbsv"), ("lapack", "dgbtrs"), ("lapack", "dlangb"), ("lapack", "dsygvd"), ("blas", "dgbmv")]
+# the LAPACK routines cuspfem calls
+ROUTINES = ["dgbsv", "dgbtrs", "dlangb", "dsygvd"]
 
 IMPORT_ORDERS = {
     "cuspfem-first": "import cuspfem.experiments\nimport scipy.linalg\n",
@@ -69,9 +69,8 @@ def solved():
 def test_scipy_linalg_routines_are_the_ones_cuspfem_calls(order):
     code = IMPORT_ORDERS[order] + f"""
 import cuspfem.assembly, cuspfem.basis
-scipy_side = {{"blas": scipy.linalg.blas, "lapack": scipy.linalg.lapack}}
-users = {{"blas": [cuspfem.assembly.blas], "lapack": [cuspfem.assembly.lapack, cuspfem.basis.lapack]}}
-print(all(getattr(m, name) is getattr(scipy_side[kind], name) for kind, name in {ROUTINES!r} for m in users[kind]))
+users = [cuspfem.assembly.lapack, cuspfem.basis.lapack]
+print(all(getattr(m, name) is getattr(scipy.linalg.lapack, name) for name in {ROUTINES!r} for m in users))
 """
     assert run_python(code).strip() == "True"
 
@@ -94,12 +93,12 @@ print(repr(tiny_solve()))
 
 @pytest.mark.parametrize("fallback", FALLBACKS)
 def test_fallback_to_the_scipy_linalg_namespace_works(fallback, solved):
-    # the fallback takes blas and lapack from scipy.linalg: the same
-    # routines, so the same bits
+    # the fallback takes lapack from scipy.linalg: the same routines, so
+    # the same bits
     code = FALLBACKS[fallback] + """
 import cuspfem.experiments, cuspfem._lapack
 import scipy.linalg
-print(cuspfem._lapack.lapack is scipy.linalg.lapack and cuspfem._lapack.blas is scipy.linalg.blas)
+print(cuspfem._lapack.lapack is scipy.linalg.lapack)
 """ + SOLVE + "print(repr(tiny_solve()))\n"
     lines = run_python(code).splitlines()
     assert lines[-2] == "True"

@@ -264,14 +264,14 @@ class TestGammaEstimate:
     def test_import_leaves_scipy_optimize_out(self, tmp_path):
         # gamma_estimate needs no optimiser, so the CLI does not pay its
         # import; and a tiny theorem-capped SDFEM solve reaches dsygvd (c_inv)
-        # and dgbsv, which cuspfem._lapack takes from scipy's extension
-        # modules alone, so the scipy.linalg namespace and what it pulls in
-        # stay unloaded too; the error norms group elements without
+        # and dgbsv, which cuspfem._lapack takes from scipy's LAPACK
+        # extension module alone, so the scipy.linalg namespace, what it
+        # pulls in and scipy's BLAS module stay unloaded too; the error norms group elements without
         # np.unique, which would import numpy.ma; cases run on the calling
         # thread, and only the verbs that read or write JSON import json
         heavy = [
             "scipy.optimize", "scipy.linalg", "numpy.f2py", "numpy.testing", "charset_normalizer",
-            "numpy.ma", "concurrent.futures", "logging", "json",
+            "numpy.ma", "concurrent.futures", "logging", "json", "scipy.linalg._fblas",
         ]
         argv = [
             "solve", "--eps", "1e-4", "--lambda", "0.25", "--n", "32", "--k", "2",
