@@ -301,28 +301,23 @@ def _windows(coeffs: np.ndarray, k: int) -> np.ndarray:
 
 
 class _Block(NamedTuple):
-    """One step of `_blocks`: the elements in `span`, their lengths, their
-    nel_b + 1 end points (named as on a Mesh), and their coefficient
-    windows (k+1, nel_b)."""
+    """One step of `_blocks`: the elements in `span`, their lengths and
+    their nel_b + 1 end points (named as on a Mesh)."""
 
     span: slice
     lengths: np.ndarray
     nodes: np.ndarray
-    local: Optional[np.ndarray]
 
     def at(self, t: np.ndarray, g=slice(None)) -> np.ndarray:
         """Coordinates (t.size, nel_g) of the reference points t on the elements g."""
         return self.nodes[:-1][g] + t[:, None] * self.lengths[g]
 
 
-def _blocks(mesh: Mesh, coeffs: Optional[np.ndarray] = None, k: int = 1):
-    """Walk the elements in blocks of BLOCK_ELEMENTS (read at each call),
-    with the windows of the nodal coefficients `coeffs` when given."""
-    windows = None if coeffs is None else _windows(coeffs, k)
+def _blocks(mesh: Mesh):
+    """Walk the elements in blocks of BLOCK_ELEMENTS (read at each call)."""
     for e0 in range(0, mesh.n_intervals, BLOCK_ELEMENTS):
         b = slice(e0, min(e0 + BLOCK_ELEMENTS, mesh.n_intervals))
-        local = None if windows is None else windows[b].T
-        yield _Block(b, mesh.lengths[b], mesh.nodes[b.start : b.stop + 1], local)
+        yield _Block(b, mesh.lengths[b], mesh.nodes[b.start : b.stop + 1])
 
 
 def _block_samples(problem: Problem, block: _Block, points: np.ndarray, load: bool):

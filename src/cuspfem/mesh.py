@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,15 +116,14 @@ def _decade_parts(n_half: int, big_k: int) -> tuple[int, ...]:
     return (n0,) * (big_k + 1 - extra) + (n0 + 1,) * extra
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _NodeSet:
     """The nodes and lengths of one (N, K), shared read-only by every mesh
-    built with them, and, once a mesh of them is validated, the outcome of
-    `_node_checks` on them."""
+    built with them, and the outcome of `_node_checks` on them."""
 
     nodes: np.ndarray
     lengths: np.ndarray
-    checks: Optional[tuple] = None
+    checks: tuple
 
 
 # A bound, not a run's count of distinct sets: a set holds 32 bytes per
@@ -146,7 +145,8 @@ def _node_set(parts: tuple[int, ...]) -> _NodeSet:
         start += m
     right[n] = 1.0
     np.negative(right[:0:-1], out=nodes[:n])
-    return _NodeSet(nodes, np.diff(nodes))
+    lengths = np.diff(nodes)
+    return _NodeSet(nodes, lengths, _node_checks(nodes, lengths, n, big_k))
 
 
 def build_mesh(params: MeshParams) -> Mesh:
@@ -158,8 +158,9 @@ def build_mesh(params: MeshParams) -> Mesh:
 
     The nodes depend on N and K alone, so meshes of equal (N, K) share one
     pair of read-only `nodes` and `lengths` arrays, which a small cache of
-    the last few node sets hands out; each call still returns its own
-    `Mesh` with its own params, sigma and branch.  The mesh carries its
+    the last few node sets hands out; a set is checked once, when it is
+    made (`_node_checks`), and never changes.  Each call still returns its
+    own `Mesh` with its own params, sigma and branch.  The mesh carries its
     node set as the attribute `_shared`; not being a field, it leaves eq,
     hash and repr alone, and a `replace`d copy lacks it.
     """
@@ -238,20 +239,16 @@ def validate_mesh(mesh: Mesh) -> MeshDiagnostics:
     equidistance (up to node-coordinate rounding), and in the regime where
     the N^-(2k+1) branch set sigma, x_1 <= (K+1) N^-(2k+2).
 
-    Meshes of equal (N, K) from `build_mesh` share read-only node and
-    length arrays, so the checks that read only those run once per shared
-    pair; the sigma bracket and the x_1 bound run on every call.  A mesh
-    not returned by `build_mesh`, `replace`d ones included, is checked in
-    full.
+    A mesh from `build_mesh` carries the verdicts of the checks that read
+    only its node set, made with the set; the sigma bracket and the x_1
+    bound run on every call.  A mesh not returned by `build_mesh`,
+    `replace`d ones included, is checked in full.
     """
     p = mesh.params
     n, k, big_k = p.n_half, p.order, mesh.big_k
     nodes = mesh.nodes
     shared = getattr(mesh, "_shared", None)
     if shared is not None:
-        # two threads may both find None; each stores the same outcome
-        if shared.checks is None:
-            shared.checks = _node_checks(nodes, mesh.lengths, n, big_k)
         head, max_len, decades = shared.checks
     else:
         head, max_len, decades = _node_checks(nodes, mesh.lengths, n, big_k)

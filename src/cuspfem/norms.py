@@ -84,10 +84,13 @@ def _integrate_norms(fn, problem, stab, quad, minus=None) -> ErrorReport:
     k = fn.order
     if stab is not None:
         _check_profile(stab, fn.mesh)
+    windows = _windows(fn.coefficients, k)
     subtrahend = None if minus is None else _windows(minus.coefficients, k)
     sums, sd = np.zeros(3), 0.0  # integrals of e^2, e'^2 and (x e')^2; the SD term
-    for block in _blocks(fn.mesh, fn.coefficients, k):
-        local = block.local if minus is None else block.local - subtrahend[block.span].T
+    for block in _blocks(fn.mesh):
+        local = windows[block.span].T
+        if minus is not None:
+            local = local - subtrahend[block.span].T
         counts = _panel_counts(block, problem.eps, quad.panels)
         # the counts run from 1 to quad.panels: bincount's nonzero bins are
         # their distinct values, ascending; a block of one count is used in

@@ -22,7 +22,7 @@ from cuspfem import (
     save_mesh,
     validate_mesh,
 )
-from cuspfem.mesh import _node_set
+from cuspfem.mesh import _node_checks, _node_set
 
 getcontext().prec = 60
 
@@ -270,7 +270,8 @@ def _bits(a: np.ndarray) -> bytes:
 
 class TestSharedNodeSets:
     """Meshes of equal (N, K) share one cached pair of node and length
-    arrays, and the checks that read only those run once per pair."""
+    arrays, and the checks that read only those run once, when the pair
+    is made."""
 
     def test_cached_meshes_match_a_construction_without_the_cache(self):
         previous, shared = None, 0
@@ -305,9 +306,20 @@ class TestSharedNodeSets:
         assert first.sigma != second.sigma
         assert not (first.nodes.flags.writeable or first.lengths.flags.writeable)
 
+    def test_a_set_is_made_with_its_verdicts_and_never_changes(self):
+        _node_set.cache_clear()
+        mesh = build_mesh(MeshParams(1e-6, 40, 2, 0.25))
+        shared = mesh._shared
+        nodes, lengths = mesh.nodes.copy(), mesh.lengths.copy()
+        assert shared.checks == _node_checks(nodes, lengths, 40, mesh.big_k)
+        for name, value in (("checks", ()), ("nodes", nodes), ("lengths", lengths)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(shared, name, value)
+        assert validate_mesh(mesh).ok and mesh._shared is shared
+
     def test_moved_node_of_a_cached_set_is_reported(self):
         mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))
-        assert validate_mesh(mesh).ok  # the set's node checks are now recorded
+        assert validate_mesh(mesh).ok
         nodes = mesh.nodes.copy()
         nodes[40] += 0.3 * (nodes[41] - nodes[40])
         moved = Mesh(mesh.params, mesh.sigma, mesh.sigma_branch, mesh.big_k, nodes, np.diff(nodes))
@@ -338,7 +350,7 @@ class TestSharedNodeSets:
     def test_threads_sharing_sets_get_the_full_verdicts(self):
         # 4 threads on 2 CPUs build and validate 240 meshes of 12 (N, K)
         # sets, more than the cache holds, switching threads every
-        # microsecond; a set's verdict may be computed twice, never wrongly
+        # microsecond; every set's verdicts equal those of a full check
         cases = [
             MeshParams(10.0 ** -(2 * j), n_half, k, 0.0)
             for j in range(6) for n_half in (64, 96) for k in (1, 2)

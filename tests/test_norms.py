@@ -320,10 +320,13 @@ def masked_grouping_norms(fn, problem, stab, quad, minus=None) -> ErrorReport:
     one: each block's panel counts from np.unique, and each count's elements
     gathered by a boolean mask even when they are the whole block."""
     k = fn.order
+    windows = _windows(fn.coefficients, k)
     subtrahend = None if minus is None else _windows(minus.coefficients, k)
     sums, sd = np.zeros(3), 0.0
-    for block in _blocks(fn.mesh, fn.coefficients, k):
-        local = block.local if minus is None else block.local - subtrahend[block.span].T
+    for block in _blocks(fn.mesh):
+        local = windows[block.span].T
+        if minus is not None:
+            local = local - subtrahend[block.span].T
         counts = _panel_counts(block, problem.eps, quad.panels)
         for p in np.unique(counts):
             g = counts == p
