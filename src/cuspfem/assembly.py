@@ -151,15 +151,14 @@ class LinearSystem:
     consumed).  `solve_banded` factors it in place, which consumes the
     system: the storage then holds LU factors and is read-only, and a
     second solve is a ValueError.
-    `problem`, `quad_points` (0: k + 3, the assembly default) and `deltas`
-    (None for Galerkin) define the element operator that `solve_banded`'s
-    refinement applies, from `samples`: one (span, a, c) per assembly
-    block, a and c at the span's (q, nel_b) quadrature points.  Assembly
-    hands over the arrays it sampled; a system made without them samples
-    the problem here (`_block_samples`).  Spans that do not tile the mesh,
-    or arrays of another shape, are a ValueError.  A `replace` that
-    changes `problem`, `mesh`, `order` or `quad_points` must pass
-    `samples=()`.
+    `eps`, `quad_points` (the Gauss count) and `deltas` (None for Galerkin)
+    define the element operator that `solve_banded`'s refinement applies,
+    from `samples`: one (span, a, c) per assembly block, a and c at the
+    span's (q, nel_b) quadrature points.  Only assembly makes samples, and
+    a system with forced bands or rhs is a `replace` of an assembled one.
+    Spans that do not tile the mesh, or arrays of another shape, are a
+    ValueError, so a `replace` of `mesh`, `order` or `quad_points` needs
+    samples that fit.
     """
 
     storage: np.ndarray
@@ -167,10 +166,10 @@ class LinearSystem:
     mesh: Mesh
     order: int
     family: str
-    problem: Problem
-    quad_points: int = 0
-    deltas: Optional[np.ndarray] = None
-    samples: tuple = field(default=(), repr=False, compare=False)
+    eps: float
+    quad_points: int
+    deltas: Optional[np.ndarray]
+    samples: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         shape, expected = self.storage.shape, (3 * self.order + 1, self.rhs.size)
@@ -179,13 +178,7 @@ class LinearSystem:
         if not self.storage.flags.f_contiguous:
             raise ValueError("LU storage must be Fortran-contiguous")
         self.rhs.setflags(write=False)
-        q, nel = self.quad_points or self.order + 3, self.mesh.n_intervals
-        if not self.samples:
-            points = _element_tables(self.order, self.family, q).rule.points
-            blocks = _blocks(self.mesh)
-            samples = tuple((b.span, *_block_samples(self.problem, b, points, False)) for b in blocks)
-            object.__setattr__(self, "samples", samples)
-        e0 = 0
+        q, nel, e0 = self.quad_points, self.mesh.n_intervals, 0
         for span, aq, cq in self.samples:
             if span.start != e0 or span.step is not None or not e0 < span.stop <= nel:
                 raise ValueError(f"sample spans do not tile the mesh's {nel} elements")
@@ -320,13 +313,11 @@ def _blocks(mesh: Mesh):
         yield _Block(b, mesh.lengths[b], mesh.nodes[b.start : b.stop + 1])
 
 
-def _block_samples(problem: Problem, block: _Block, points: np.ndarray, load: bool):
-    """a, c, and f when `load`, at the block's (q, nel_b) quadrature points;
-    a non-finite sample is an AssemblyError that names the global element."""
+def _block_samples(problem: Problem, block: _Block, points: np.ndarray):
+    """a, c and f at the block's (q, nel_b) quadrature points; a non-finite
+    sample is an AssemblyError that names the global element."""
     xq = block.at(points)
-    samples = [problem.coeff_a(xq), problem.coeff_c(xq)]
-    if load:
-        samples.append(problem.rhs_f(xq))
+    samples = [problem.coeff_a(xq), problem.coeff_c(xq), problem.rhs_f(xq)]
     finite = np.logical_and.reduce([np.isfinite(s) for s in samples])
     if not finite.all():
         i = int(np.argmin(finite.all(axis=0)))
@@ -351,7 +342,7 @@ def _assemble_block(problem, block, k, tables, deltas, bands, rhs) -> tuple:
     """Add the block's elements into the full-mesh bands and rhs; return
     the block's span, a and c samples (an entry of LinearSystem.samples)."""
     h, e0 = block.lengths, block.span.start
-    aq, cq, fq = _block_samples(problem, block, tables.rule.points, load=True)
+    aq, cq, fq = _block_samples(problem, block, tables.rule.points)
     w, eps = tables.rule.weights[:, None], problem.eps
 
     # per-point weights, q rows a term, in the order of the matrix table's
@@ -410,7 +401,7 @@ def _assemble(
     # ordered storage that is a column slice; the slots of eliminated rows
     # keep their values, and no reader looks there
     return LinearSystem(
-        storage[:, 1:-1], rhs[1:-1], mesh, k, family, problem, quad_points, deltas, tuple(samples)
+        storage[:, 1:-1], rhs[1:-1], mesh, k, family, problem.eps, quad_points, deltas, tuple(samples)
     )
 
 
@@ -430,15 +421,15 @@ def assemble_sdfem(
     k: int,
     family: str = "uniform",
     quad_points: int = 0,
-    stab: Optional[StabilizationProfile] = None,
+    *,
+    stab: StabilizationProfile,
 ) -> LinearSystem:
     """
     Galerkin plus the streamline-diffusion terms
     sum_i delta_i (-eps v'' + a v' + c v, a w')_i on the matrix and
-    sum_i delta_i (f, a w')_i on the right-hand side.
+    sum_i delta_i (f, a w')_i on the right-hand side, with the deltas of
+    `stab`, a profile of this mesh.
     """
-    if stab is None:
-        raise ValueError("assemble_sdfem needs a StabilizationProfile")
     _check_profile(stab, mesh)
     return _assemble(problem, mesh, k, family, quad_points or k + 3, stab.deltas)
 
@@ -454,9 +445,9 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
     no digits to the differencing.
     """
     k, deltas, lengths = system.order, system.deltas, system.mesh.lengths
-    tables = _element_tables(k, system.family, system.quad_points or k + 3)
+    tables = _element_tables(k, system.family, system.quad_points)
     V, D1, D2 = tables.V, tables.D1, tables.D2
-    eps, w = system.problem.eps, tables.rule.weights[:, None]
+    eps, w = system.eps, tables.rule.weights[:, None]
     ax, windows = np.zeros(coeffs.size), _windows(coeffs, k)
     for span, aq, cq in system.samples:
         h, u = lengths[span], windows[span].T

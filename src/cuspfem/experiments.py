@@ -144,7 +144,7 @@ def _solve(config: SweepConfig, prob, mesh, eps: float, k: int):
     stab = None
     if config.method == "sdfem":
         stab = compute_deltas(mesh, eps, config.c0, config.delta_policy, prob, k)
-        system = assemble_sdfem(prob, mesh, k, config.family, config.quad_assembly, stab)
+        system = assemble_sdfem(prob, mesh, k, config.family, config.quad_assembly, stab=stab)
     else:
         system = assemble_galerkin(prob, mesh, k, config.family, config.quad_assembly)
     return stab, solve_banded(system)

@@ -191,33 +191,32 @@ class MeshDiagnostics:
 
 
 def _node_checks(nodes: np.ndarray, lengths: np.ndarray, n: int, big_k: int) -> tuple:
-    """The checks that read only the nodes, N and K: the violations reported
-    before the sigma bracket, the largest length, and the decade violations
-    reported after it."""
-    head: list[str] = []
+    """The checks that read only the nodes, N and K: their violations, in
+    the order `validate_mesh` reports them (the decade checks last), and
+    the largest length."""
+    bad: list[str] = []
     if lengths.size != 2 * n:
-        head.append(f"interval count {lengths.size} != 2N = {2 * n}")
+        bad.append(f"interval count {lengths.size} != 2N = {2 * n}")
     if not np.all(lengths > 0.0):
-        head.append("nodes not strictly increasing")
+        bad.append("nodes not strictly increasing")
     if nodes.size == 0 or nodes[0] != -1.0 or nodes[-1] != 1.0:
-        head.append("endpoints differ from -1, 1")
+        bad.append("endpoints differ from -1, 1")
     mid = nodes.size // 2
     if nodes.size % 2 == 0 or nodes[mid] != 0.0:
-        head.append("0 is not the central node")
+        bad.append("0 is not the central node")
     elif np.any(nodes[:mid] != -nodes[:mid:-1]):
-        head.append("nodes not symmetric about 0")
+        bad.append("nodes not symmetric about 0")
 
     length_bound = (big_k + 1) / n
     max_len = float(np.max(lengths)) if lengths.size else math.nan
     if max_len > length_bound * (1.0 + 1e-12):
-        head.append(f"max interval length {max_len} exceeds (K+1)/N = {length_bound}")
+        bad.append(f"max interval length {max_len} exceeds (K+1)/N = {length_bound}")
 
     if lengths.size != nodes.size - 1:
         # the decade scan pairs each length with its interval's end nodes
-        head.append(f"{lengths.size} lengths for {nodes.size} nodes")
-        return tuple(head), max_len, ()
+        bad.append(f"{lengths.size} lengths for {nodes.size} nodes")
+        return tuple(bad), max_len
 
-    decades: list[str] = []
     bounds = _decade_bounds(big_k)
     starts, ends = nodes[:-1], nodes[1:]
     # an interval may end up to 2 ulps past its decade's end
@@ -227,39 +226,34 @@ def _node_checks(nodes: np.ndarray, lengths: np.ndarray, n: int, big_k: int) -> 
         sel = lengths[(starts >= lo) & (ends <= top)]
         spread = sel.max() - sel.min() if sel.size else 0.0
         if spread > 4.0 * np.spacing(hi):
-            decades.append(f"decade ({lo}, {hi}] not equidistant (spread {spread:.3e})")
-    return tuple(head), max_len, tuple(decades)
+            bad.append(f"decade ({lo}, {hi}] not equidistant (spread {spread:.3e})")
+    return tuple(bad), max_len
 
 
 def validate_mesh(mesh: Mesh) -> MeshDiagnostics:
     """
-    Check the construction invariants and report violations (never raises):
-    interval count 2N, strict monotonicity, exact symmetry, the per-interval
-    bound h_i <= (K+1)/N, the decade/sigma bracketing, per-decade
-    equidistance (up to node-coordinate rounding), and in the regime where
-    the N^-(2k+1) branch set sigma, x_1 <= (K+1) N^-(2k+2).
+    Check the construction invariants and report violations (never raises),
+    in this order: interval count 2N, strict monotonicity, exact symmetry,
+    the per-interval bound h_i <= (K+1)/N, per-decade equidistance (up to
+    node-coordinate rounding), the decade/sigma bracketing, and in the
+    regime where the N^-(2k+1) branch set sigma, x_1 <= (K+1) N^-(2k+2).
 
     A mesh from `build_mesh` carries the verdicts of the checks that read
     only its node set, made with the set; the sigma bracket and the x_1
-    bound run on every call.  A mesh not returned by `build_mesh`,
-    `replace`d ones included, is checked in full.
+    bound run on every call and follow them.  A mesh not returned by
+    `build_mesh`, `replace`d ones included, is checked in full.
     """
     p = mesh.params
     n, k, big_k = p.n_half, p.order, mesh.big_k
     nodes = mesh.nodes
     shared = getattr(mesh, "_shared", None)
-    if shared is not None:
-        head, max_len, decades = shared.checks
-    else:
-        head, max_len, decades = _node_checks(nodes, mesh.lengths, n, big_k)
-    bad = list(head)
+    checks = shared.checks if shared is not None else _node_checks(nodes, mesh.lengths, n, big_k)
+    bad, max_len = list(checks[0]), checks[1]
 
     # 10^-1 sigma <= 10^-K < sigma, with slack matching the K snap
     ten_mk = 10.0 ** -big_k
     if not (0.1 * mesh.sigma * (1.0 - 1e-9) <= ten_mk < mesh.sigma * (1.0 + 1e-9)):
         bad.append(f"10^-K = {ten_mk} outside [sigma/10, sigma) for sigma = {mesh.sigma}")
-
-    bad += decades
 
     if mesh.sigma_branch == "n":
         mid = nodes.size // 2

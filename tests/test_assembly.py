@@ -42,6 +42,7 @@ from cuspfem import (
     compute_deltas,
     error_norms,
     estimate_c_inv,
+    gauss_rule,
     interpolate,
     make_test_problem,
     sd_distance,
@@ -242,11 +243,11 @@ class TestSystemStructure:
         # only (3k+1, n) LU storage; (2k+1, n) band rows alone are rejected
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
-        n = 2 * 8 * k - 1
+        system, n = assemble_galerkin(prob, mesh, k), 2 * 8 * k - 1
         for shape in [(2 * k + 1, n), (3 * k, n), (3 * k + 2, n), (3 * k + 1, n + 1)]:
             with pytest.raises(ValueError, match="storage shape"):
-                LinearSystem(np.zeros(shape, order="F"), np.ones(n), mesh, k, "uniform", prob)
-        LinearSystem(np.zeros((3 * k + 1, n), order="F"), np.ones(n), mesh, k, "uniform", prob)
+                dataclasses.replace(system, storage=np.zeros(shape, order="F"), rhs=np.ones(n))
+        dataclasses.replace(system, storage=np.zeros((3 * k + 1, n), order="F"), rhs=np.ones(n))
 
     @pytest.mark.parametrize("k", [1, 8])
     def test_lu_storage_must_be_fortran_ordered(self, k):
@@ -308,8 +309,6 @@ class TestSystemStructure:
         prob = make_test_problem(1e-6, 0.25)
         mesh = build_mesh(MeshParams(1e-6, 32, 1, 0.25))
         other = build_mesh(MeshParams(1e-6, 16, 1, 0.25))
-        with pytest.raises(ValueError):
-            assemble_sdfem(prob, mesh, 1)
         with pytest.raises(ValueError):
             assemble_sdfem(prob, mesh, 1, stab=compute_deltas(other, 1e-6))
 
@@ -473,7 +472,7 @@ class TestSolver:
         rng = np.random.default_rng(12)
         v = rng.standard_normal(system.dimension)
         rhs = bands_to_dense(system) @ v
-        forced = LinearSystem(lu_storage(system.bands), rhs, mesh, 2, "uniform", prob)
+        forced = dataclasses.replace(system, storage=lu_storage(system.bands), rhs=rhs)
         fn = solve_banded(forced)
         assert fn.coefficients[1:-1] == pytest.approx(v, rel=1e-12, abs=1e-12)
         assert fn.coefficients[0] == 0.0 and fn.coefficients[-1] == 0.0
@@ -505,10 +504,10 @@ class TestSolver:
         prob = make_test_problem(1e-4, 0.25)
         for k in (1, 2):
             mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
-            n = 2 * 8 * k - 1
+            system, n = assemble_galerkin(prob, mesh, k), 2 * 8 * k - 1
             storage = lu_storage(np.zeros((2 * k + 1, n)))
             with pytest.raises(SolverError, match="singular"):
-                solve_banded(LinearSystem(storage, np.ones(n), mesh, k, "uniform", prob))
+                solve_banded(dataclasses.replace(system, storage=storage, rhs=np.ones(n)))
 
     def test_bands_that_disagree_with_the_element_operator_miss_the_contract(self):
         # the refinement corrects towards the element operator's solution,
@@ -527,10 +526,10 @@ class TestSolver:
         # nonsingular, but the solution 1e10 / 1e-300 overflows to inf
         prob = make_test_problem(1e-4, 0.25)
         mesh = build_mesh(MeshParams(1e-4, 8, k, 0.25))
-        n = 2 * 8 * k - 1
+        system, n = assemble_galerkin(prob, mesh, k), 2 * 8 * k - 1
         storage = np.zeros((3 * k + 1, n), order="F")
         storage[2 * k] = 1e-300
-        system = LinearSystem(storage, np.full(n, 1e10), mesh, k, "uniform", prob)
+        system = dataclasses.replace(system, storage=storage, rhs=np.full(n, 1e10))
         with pytest.raises(SolverError, match="banded LU produced non-finite values"):
             solve_banded(system)
 
@@ -570,7 +569,8 @@ class TestSolver:
         mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
         bands = [[0.0, -2.0, -2.0], [3.0, 3.0, 3.0], [-1.0, -1.0, 0.0]]
         rhs = np.array([3 - 2 * X, X - 1, 2 * X])
-        system = LinearSystem(lu_storage(bands), rhs, mesh, 1, "uniform", prob)
+        system = assemble_galerkin(prob, mesh, 1)
+        system = dataclasses.replace(system, storage=lu_storage(bands), rhs=rhs)
         dense = bands_to_dense(system)
 
         def band_residual(s, c):
@@ -592,7 +592,8 @@ class TestSolver:
         prob = make_test_problem(1e-6, 0.25)
         mesh = build_mesh(MeshParams(1e-6, 2, 1, 0.25))
         bands = [[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]]
-        system = LinearSystem(lu_storage(bands), np.array([X, 0.0, X]), mesh, 1, "uniform", prob)
+        system = assemble_galerkin(prob, mesh, 1)
+        system = dataclasses.replace(system, storage=lu_storage(bands), rhs=np.array([X, 0.0, X]))
         monkeypatch.setattr("cuspfem.assembly._element_residual", lambda s, c: s.rhs * scale)
         if scale < 1e-10:
             assert solve_banded(system).residual == pytest.approx(scale / 5, rel=1e-12)
@@ -742,7 +743,7 @@ class TestSolver:
         rhs = system.rhs.copy()
         rhs[5] = np.nan
         with pytest.raises(SolverError):
-            solve_banded(LinearSystem(lu_storage(system.bands), rhs, mesh, k, "uniform", prob))
+            solve_banded(dataclasses.replace(system, storage=lu_storage(system.bands), rhs=rhs))
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_band_entry_is_a_solver_error(self, value):
@@ -752,7 +753,7 @@ class TestSolver:
         bands = system.bands.copy()
         bands[1, 3] = value
         with pytest.raises(SolverError):
-            solve_banded(LinearSystem(lu_storage(bands), system.rhs, mesh, 1, "uniform", prob))
+            solve_banded(dataclasses.replace(system, storage=lu_storage(bands)))
 
     def test_nan_rhs_detected_at_assembly(self):
         # f hides a NaN window too narrow for the 257-point validation grid
@@ -849,24 +850,31 @@ class TestSampleHandover:
         assert calls == []
 
     @pytest.mark.parametrize("k", [1, 2, 8])
-    def test_system_made_without_samples_samples_the_problem(self, k, monkeypatch):
+    def test_handed_over_samples_are_a_and_c_at_the_gauss_points(self, k, monkeypatch):
+        # blocks of 5 on 16 elements: spans 5, 5, 5, 1, each of a and c at
+        # the k + 3 Gauss points of its elements, evaluated here
         monkeypatch.setattr(cuspfem.assembly, "BLOCK_ELEMENTS", 5)
         eps = 1e-6
         prob = make_test_problem(eps, 0.25)
         mesh = build_mesh(MeshParams(eps, 8, k, 0.25))
+        points = gauss_rule(k + 3).points[:, None]
         stab = compute_deltas(mesh, eps)
-        coeffs = np.random.default_rng(k).standard_normal(mesh.n_intervals * k + 1)
-        for assembled in (assemble_galerkin(prob, mesh, k), assemble_sdfem(prob, mesh, k, stab=stab)):
-            storage = np.asfortranarray(assembled.storage.copy())
-            made = LinearSystem(storage, assembled.rhs, mesh, k, "uniform", prob, 0, assembled.deltas)
-            assert len(made.samples) == len(assembled.samples) == 4
-            for new, ref in zip(made.samples, assembled.samples):
-                assert new[0] == ref[0]
-                assert np.array_equal(new[1], ref[1]) and np.array_equal(new[2], ref[2])
-            assert np.array_equal(_element_residual(made, coeffs), _element_residual(assembled, coeffs))
-            new, ref = solve_banded(made), solve_banded(assembled)
-            assert np.array_equal(new.coefficients, ref.coefficients)
-            assert (new.residual, new.steps) == (ref.residual, ref.steps)
+        for system in (assemble_galerkin(prob, mesh, k), assemble_sdfem(prob, mesh, k, stab=stab)):
+            spans = [span for span, _, _ in system.samples]
+            assert spans == [slice(0, 5), slice(5, 10), slice(10, 15), slice(15, 16)]
+            for span, aq, cq in system.samples:
+                x = mesh.nodes[:-1][span] + points * mesh.lengths[span]
+                assert np.array_equal(aq, prob.coeff_a(x)) and np.array_equal(cq, prob.coeff_c(x))
+
+    def test_only_assembly_makes_a_system(self):
+        # a system takes its samples from assembly, an SDFEM system its profile
+        prob = make_test_problem(1e-6, 0.25)
+        mesh = build_mesh(MeshParams(1e-6, 8, 2, 0.25))
+        system = assemble_galerkin(prob, mesh, 2)
+        with pytest.raises(TypeError):
+            LinearSystem(system.storage, system.rhs, mesh, 2, "uniform", prob)
+        with pytest.raises(TypeError):
+            assemble_sdfem(prob, mesh, 2)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_residual_walks_the_blocks_of_assembly(self, k, monkeypatch):
@@ -907,7 +915,6 @@ class TestSampleHandover:
                 dataclasses.replace(system, samples=((s0, a, c), (s1, a1, c1), last))
         with pytest.raises(ValueError, match=r"are not \(6, 3\) arrays"):
             dataclasses.replace(system, quad_points=k + 4)  # its samples are of k + 3 points
-        assert len(dataclasses.replace(system, quad_points=k + 4, samples=()).samples) == 3
 
 
 def traced_peak(fn, *args, **kwargs):
