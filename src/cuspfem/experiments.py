@@ -138,10 +138,10 @@ def convergence_rate(e_coarse: float, e_fine: float) -> float:
     return (math.log(e_coarse) - math.log(e_fine)) / math.log(2.0)
 
 
-def _solve(config: SweepConfig, prob, mesh, eps: float, k: int):
-    """Assemble and solve one case; returns (stabilization profile or None,
-    discrete solution)."""
-    stab = None
+def _solve(config: SweepConfig, prob, mesh):
+    """Assemble and solve one case on `mesh`, whose params give eps and k;
+    returns (stabilization profile or None, discrete solution)."""
+    eps, k, stab = mesh.params.eps, mesh.params.order, None
     if config.method == "sdfem":
         stab = compute_deltas(mesh, eps, config.c0, config.delta_policy, prob, k)
         system = assemble_sdfem(prob, mesh, k, config.family, config.quad_assembly, stab=stab)
@@ -164,7 +164,7 @@ def _run_case(config: SweepConfig, prob, eps: float, n: int, k: int) -> Converge
     try:
         mesh = build_mesh(MeshParams(eps, n, k, config.lam))
         diag = validate_mesh(mesh)
-        stab, fn = _solve(config, prob, mesh, eps, k)
+        stab, fn = _solve(config, prob, mesh)
         report = error_norms(fn, prob, mesh, stab, config.quad_error)
     except _CASE_ERRORS as exc:
         return ConvergenceRow(eps, n, None, k, error=_case_message(exc))
@@ -243,7 +243,7 @@ def sample_solution(config: SweepConfig, resolution: int = 1001) -> Table:
     if not prob.has_exact:
         raise ValueError("sample_solution needs a problem with exact solution")
     mesh = build_mesh(MeshParams(eps, n, k, config.lam))
-    _, fn = _solve(config, prob, mesh, eps, k)
+    _, fn = _solve(config, prob, mesh)
     xs = np.union1d(np.linspace(-1.0, 1.0, resolution), mesh.nodes)
     uN = fn.evaluate(xs)
     u = prob.exact(xs)

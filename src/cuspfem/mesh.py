@@ -4,9 +4,9 @@ interior cusp-type layer at x = 0.
 
 The half-interval (0, 1] is split into decade subintervals
 (0, 10^-K], (10^-K, 10^-K+1], ..., (10^-1, 1], where K is tied to the
-layer width sigma by 10^-1 sigma <= 10^-K < sigma.  Each decade is divided
-into equal parts so that the half-mesh has exactly N intervals, and the
-result is mirrored across 0.
+layer width sigma by 10^-1 sigma <= 10^-K < sigma (up to the snap of
+`compute_big_k`).  Each decade is divided into equal parts so that the
+half-mesh has exactly N intervals, and the result is mirrored across 0.
 """
 
 from __future__ import annotations
@@ -78,8 +78,9 @@ _BIG_K_SNAP = 1e-9
 
 
 def compute_big_k(sigma: float) -> int:
-    """Largest integer K with K <= 1 - log10(sigma); satisfies
-    10^-1 sigma <= 10^-K < sigma."""
+    """Largest integer K <= 1 - log10(sigma) + 1e-9: 10^-K < sigma, and
+    10^-K >= sigma/10 up to a factor 10^-1e-9 (about 2.3e-9 relative),
+    reached when sigma lies just above a power of ten."""
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     return math.floor(1.0 - math.log10(sigma) + _BIG_K_SNAP)
@@ -87,18 +88,25 @@ def compute_big_k(sigma: float) -> int:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Symmetric layer-adapted partition of [-1, 1] with its provenance."""
+    """Symmetric layer-adapted partition of [-1, 1]: its params and nodes.
+    Sigma, its branch and K follow from the params and the read-only
+    lengths from the nodes, so `replace` takes only params and nodes."""
 
     params: MeshParams
-    sigma: float
-    sigma_branch: str
-    big_k: int
     nodes: np.ndarray = field(repr=False)
-    lengths: np.ndarray = field(repr=False)
+    sigma: float = field(init=False)
+    sigma_branch: str = field(init=False)
+    big_k: int = field(init=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        sigma, branch = compute_sigma(self.params)
+        lengths = np.diff(self.nodes)
         self.nodes.setflags(write=False)
-        self.lengths.setflags(write=False)
+        lengths.setflags(write=False)
+        derived = dict(sigma=sigma, sigma_branch=branch, big_k=compute_big_k(sigma), lengths=lengths)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_intervals(self) -> int:
@@ -118,15 +126,14 @@ def _decade_parts(n_half: int, big_k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class _NodeSet:
-    """The nodes and lengths of one (N, K), shared read-only by every mesh
-    built with them, and the outcome of `_node_checks` on them."""
+    """The nodes of one (N, K), shared read-only by every mesh built with
+    them, and the outcome of `_node_checks` on them."""
 
     nodes: np.ndarray
-    lengths: np.ndarray
     checks: tuple
 
 
-# A bound, not a run's count of distinct sets: a set holds 32 bytes per
+# A bound, not a run's count of distinct sets: a set holds 16 bytes per
 # half-mesh interval, and a long-lived process keeps at most eight
 @functools.lru_cache(maxsize=8)
 def _node_set(parts: tuple[int, ...]) -> _NodeSet:
@@ -145,8 +152,7 @@ def _node_set(parts: tuple[int, ...]) -> _NodeSet:
         start += m
     right[n] = 1.0
     np.negative(right[:0:-1], out=nodes[:n])
-    lengths = np.diff(nodes)
-    return _NodeSet(nodes, lengths, _node_checks(nodes, lengths, n, big_k))
+    return _NodeSet(nodes, _node_checks(nodes, n, big_k))
 
 
 def build_mesh(params: MeshParams) -> Mesh:
@@ -157,15 +163,14 @@ def build_mesh(params: MeshParams) -> Mesh:
     is the mirror image, so nodes come in exact +/- pairs.
 
     The nodes depend on N and K alone, so meshes of equal (N, K) share one
-    pair of read-only `nodes` and `lengths` arrays, which a small cache of
-    the last few node sets hands out; a set is checked once, when it is
-    made (`_node_checks`), and never changes.  Each call still returns its
-    own `Mesh` with its own params, sigma and branch.  The mesh carries its
-    node set as the attribute `_shared`; not being a field, it leaves eq,
-    hash and repr alone, and a `replace`d copy lacks it.
+    read-only `nodes` array, which a small cache of the last few node sets
+    hands out; a set is checked once, when it is made (`_node_checks`), and
+    never changes.  Each call still returns its own `Mesh`, whose sigma, K
+    and lengths it derives itself.  The mesh carries its node set as the
+    attribute `_shared`; not being a field, it leaves eq, hash and repr
+    alone, and a `replace`d copy lacks it.
     """
-    sigma, branch = compute_sigma(params)
-    big_k = compute_big_k(sigma)
+    big_k = compute_big_k(compute_sigma(params).value)
     n = params.n_half
     if n < big_k + 1:
         raise MeshConstructionError(
@@ -173,7 +178,7 @@ def build_mesh(params: MeshParams) -> Mesh:
             f"{big_k + 1} decade subintervals; need n_half >= {big_k + 1}"
         )
     shared = _node_set(_decade_parts(n, big_k))
-    mesh = Mesh(params, sigma, branch, big_k, shared.nodes, shared.lengths)
+    mesh = Mesh(params, shared.nodes)
     object.__setattr__(mesh, "_shared", shared)
     return mesh
 
@@ -190,13 +195,16 @@ class MeshDiagnostics:
         return not self.violations
 
 
-def _node_checks(nodes: np.ndarray, lengths: np.ndarray, n: int, big_k: int) -> tuple:
+def _node_checks(nodes: np.ndarray, n: int, big_k: int) -> tuple:
     """The checks that read only the nodes, N and K: their violations, in
     the order `validate_mesh` reports them (the decade checks last), and
     the largest length."""
+    lengths = np.diff(nodes)
     bad: list[str] = []
     if lengths.size != 2 * n:
         bad.append(f"interval count {lengths.size} != 2N = {2 * n}")
+    if n < big_k + 1:
+        bad.append(f"N = {n} < K + 1 = {big_k + 1}: too few intervals for the decades")
     if not np.all(lengths > 0.0):
         bad.append("nodes not strictly increasing")
     if nodes.size == 0 or nodes[0] != -1.0 or nodes[-1] != 1.0:
@@ -211,11 +219,6 @@ def _node_checks(nodes: np.ndarray, lengths: np.ndarray, n: int, big_k: int) -> 
     max_len = float(np.max(lengths)) if lengths.size else math.nan
     if max_len > length_bound * (1.0 + 1e-12):
         bad.append(f"max interval length {max_len} exceeds (K+1)/N = {length_bound}")
-
-    if lengths.size != nodes.size - 1:
-        # the decade scan pairs each length with its interval's end nodes
-        bad.append(f"{lengths.size} lengths for {nodes.size} nodes")
-        return tuple(bad), max_len
 
     bounds = _decade_bounds(big_k)
     starts, ends = nodes[:-1], nodes[1:]
@@ -233,34 +236,28 @@ def _node_checks(nodes: np.ndarray, lengths: np.ndarray, n: int, big_k: int) -> 
 def validate_mesh(mesh: Mesh) -> MeshDiagnostics:
     """
     Check the construction invariants and report violations (never raises),
-    in this order: interval count 2N, strict monotonicity, exact symmetry,
-    the per-interval bound h_i <= (K+1)/N, per-decade equidistance (up to
-    node-coordinate rounding), the decade/sigma bracketing, and in the
-    regime where the N^-(2k+1) branch set sigma, x_1 <= (K+1) N^-(2k+2).
+    in this order: interval count 2N, N >= K + 1, strict monotonicity,
+    exact symmetry, the per-interval bound h_i <= (K+1)/N, per-decade
+    equidistance (up to node-coordinate rounding), and in the regime where
+    the N^-(2k+1) branch set sigma and N > K, x_1 < sigma (K+1)/(N-K) (the
+    construction gives x_1 = 10^-K / floor(N/(K+1))).
 
     A mesh from `build_mesh` carries the verdicts of the checks that read
-    only its node set, made with the set; the sigma bracket and the x_1
-    bound run on every call and follow them.  A mesh not returned by
-    `build_mesh`, `replace`d ones included, is checked in full.
+    only its node set, made with the set; the x_1 bound runs on every call
+    and follows them.  A mesh not returned by `build_mesh`, `replace`d
+    ones included, is checked in full.
     """
-    p = mesh.params
-    n, k, big_k = p.n_half, p.order, mesh.big_k
-    nodes = mesh.nodes
+    n, big_k, nodes = mesh.params.n_half, mesh.big_k, mesh.nodes
     shared = getattr(mesh, "_shared", None)
-    checks = shared.checks if shared is not None else _node_checks(nodes, mesh.lengths, n, big_k)
+    checks = shared.checks if shared is not None else _node_checks(nodes, n, big_k)
     bad, max_len = list(checks[0]), checks[1]
 
-    # 10^-1 sigma <= 10^-K < sigma, with slack matching the K snap
-    ten_mk = 10.0 ** -big_k
-    if not (0.1 * mesh.sigma * (1.0 - 1e-9) <= ten_mk < mesh.sigma * (1.0 + 1e-9)):
-        bad.append(f"10^-K = {ten_mk} outside [sigma/10, sigma) for sigma = {mesh.sigma}")
-
-    if mesh.sigma_branch == "n":
+    if mesh.sigma_branch == "n" and n > big_k:
         mid = nodes.size // 2
         x1 = nodes[mid + 1] if nodes.size > mid + 1 else math.nan
-        x1_bound = (big_k + 1) * float(n) ** (-2 * (k + 1))
+        x1_bound = mesh.sigma * (big_k + 1) / (n - big_k)
         if x1 > x1_bound * (1.0 + 1e-12):
-            bad.append(f"x_1 = {x1} exceeds (K+1) N^-(2k+2) = {x1_bound}")
+            bad.append(f"x_1 = {x1} exceeds sigma (K+1)/(N-K) = {x1_bound}")
 
     return MeshDiagnostics(tuple(bad), max_len)
 

@@ -108,6 +108,14 @@ class TestMeshVerb:
         assert exc.value.code == 1
         assert f"argument --workers: invalid choice: {workers}" in capsys.readouterr().err
 
+    def test_sigma_just_above_a_power_of_ten_is_valid(self, capsys):
+        # sigma = 1.0000000016e-2 snaps to K = 3, so 10^-K lies a hair
+        # below sigma/10; the mesh is built and valid all the same
+        argv = ["mesh", "--eps", "1.0000000032e-4", "--n", "64", "--k", "1", "--lambda", "0"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out.splitlines()[0])["K"] == 3 and err == ""
+
     def test_too_coarse_exits_2(self, capsys):
         code = main(["mesh", "--eps", "1e-40", "--n", "4", "--k", "8", "--lambda", "0.005"])
         assert code == 2
@@ -180,6 +188,16 @@ class TestConvergeVerb:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[CONVERGENCE_COLUMNS.index("energy_rate")] != ""
+
+    def test_n_branch_mesh_whose_n_is_not_a_multiple_of_k_plus_1_is_ok(self, capsys):
+        # sigma = 46^-3 on the N branch gives K = 5, and 6 does not divide 46
+        argv = ["--eps", "1e-12", "--lambda", "0.25", "--n", "46", "--k", "1"]
+        assert main(["converge", *argv]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[CONVERGENCE_COLUMNS.index("K")] == "5"
+        assert row[CONVERGENCE_COLUMNS.index("mesh_ok")] == "True"
+        assert main(["eps-sweep", *argv]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_failing_row_exits_2(self, capsys):
         code = main(["converge", "--lambda", "0.005", "--eps", "1e-30", "--n", "4,64", "--k", "2"])

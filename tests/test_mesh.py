@@ -22,7 +22,7 @@ from cuspfem import (
     save_mesh,
     validate_mesh,
 )
-from cuspfem.mesh import _node_checks, _node_set
+from cuspfem.mesh import _BIG_K_SNAP, _node_checks, _node_set
 
 getcontext().prec = 60
 
@@ -97,6 +97,14 @@ class TestBigK:
         # snap guard keeps sigma = 10^-j on the K = j + 1 side
         for j in range(1, 20):
             assert compute_big_k(10.0 ** (-j)) == j + 1
+
+    def test_snap_lets_10_to_the_minus_k_sit_just_below_sigma_over_10(self):
+        # sigma just above 10^-2 snaps to K = 3, so 10^-K < sigma/10, but
+        # by less than the snap's factor 10^-1e-9
+        sigma = 1e-2 * (1 + 1.6e-9)
+        big_k = compute_big_k(sigma)
+        assert big_k == 3 and 10.0**-big_k < 0.1 * sigma
+        assert 10.0**-big_k >= 0.1 * sigma * 10.0**-_BIG_K_SNAP
 
 
 class TestBuildMesh:
@@ -186,10 +194,10 @@ class TestBuildMesh:
 
 
 def _moved(mesh: Mesh, i: int, x: float) -> Mesh:
-    """`mesh` with node i moved to x, and its lengths to match."""
+    """`mesh` with node i moved to x."""
     nodes = mesh.nodes.copy()
     nodes[i] = x
-    return dataclasses.replace(mesh, nodes=nodes, lengths=np.diff(nodes))
+    return dataclasses.replace(mesh, nodes=nodes)
 
 
 # on eps 1e-8, N 16, k 2, lambda 0.25: K = 4, (K+1)/N = 0.3125, and the
@@ -202,16 +210,18 @@ BROKEN_MESHES = {
     "endpoints differ from -1, 1": lambda m: dataclasses.replace(m, nodes=m.nodes * 0.5),
     "0 is not the central node": lambda m: _moved(m, 16, 0.5 * m.nodes[17]),
     "max interval length 0.4 exceeds (K+1)/N = 0.3125": lambda m: _moved(m, -2, 0.6),
-    "10^-K = 0.0001 outside [sigma/10, sigma)": lambda m: dataclasses.replace(
-        m, sigma=m.sigma * 100
+    # eps 1e-30, lambda 0 puts sigma on the N branch, 16^-5, with K = 7,
+    # while the nodes keep K = 4: x_1 = 1e-4 / 3
+    "x_1 = 3.33": lambda m: dataclasses.replace(
+        m, params=dataclasses.replace(m.params, eps=1e-30, lam=0.0)
     ),
-    "x_1 = 3.33": lambda m: dataclasses.replace(m, sigma_branch="n"),
-    # these two raised IndexError: the decade scan pairs lengths with nodes,
-    # and the endpoint check read nodes[0]
-    "31 lengths for 33 nodes": lambda m: dataclasses.replace(m, lengths=m.lengths[:-1].copy()),
-    "interval count 0 != 2N = 32": lambda m: dataclasses.replace(
-        m, nodes=np.empty(0), lengths=np.empty(0)
-    ),
+    # too few intervals for the decades, on either branch: sigma = 4^-5
+    # gives K = 4 (N = K would divide the x_1 bound by zero), and
+    # sigma = 1e-5 on the eps branch gives K = 6
+    "N = 4 < K + 1 = 5": lambda m: dataclasses.replace(m, params=MeshParams(1e-30, 4, 2, 0.0)),
+    "N = 2 < K + 1 = 7": lambda m: dataclasses.replace(m, params=MeshParams(1e-10, 2, 8, 0.0)),
+    # this raised IndexError: the endpoint check read nodes[0]
+    "interval count 0 != 2N = 32": lambda m: dataclasses.replace(m, nodes=np.empty(0)),
 }
 
 
@@ -234,15 +244,7 @@ class TestValidateMesh:
         good = build_mesh(MeshParams(1e-6, 32, 1, 0.25))
         nodes = good.nodes.copy()
         nodes[40] += 0.3 * (nodes[41] - nodes[40])
-        bad = Mesh(
-            params=good.params,
-            sigma=good.sigma,
-            sigma_branch=good.sigma_branch,
-            big_k=good.big_k,
-            nodes=nodes,
-            lengths=np.diff(nodes),
-        )
-        diag = validate_mesh(bad)
+        diag = validate_mesh(Mesh(params=good.params, nodes=nodes))
         assert not diag.ok
         assert len(diag.violations) >= 1
 
@@ -263,15 +265,43 @@ class TestValidateMesh:
             assert diag.ok, (params, diag.violations)
             done += 1
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_small_mesh_validates(self, k):
+        # the random tuples above miss small N on the N branch, where
+        # x_1 = 10^-K / floor(N/(K+1)) is largest against its bound when
+        # K + 1 does not divide N (N 46, k 1, eps <= 1e-10 is one case)
+        for eps in 10.0 ** -np.arange(15.0):
+            for lam in (0.0, 0.25):
+                for n_half in range(2, 65):
+                    params = MeshParams(eps, n_half, k, lam)
+                    if n_half < compute_big_k(compute_sigma(params).value) + 1:
+                        continue
+                    diag = validate_mesh(build_mesh(params))
+                    assert diag.ok, (params, diag.violations)
+
 
 def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
+class TestDerivedFields:
+    """A mesh is its params and nodes; sigma, its branch, K and the
+    lengths are derived from them and cannot be given."""
+
+    def test_init_fields_are_params_and_nodes(self):
+        names = [f.name for f in dataclasses.fields(Mesh) if f.init]
+        assert names == ["params", "nodes"]
+
+    @pytest.mark.parametrize("name", ["sigma", "sigma_branch", "big_k", "lengths"])
+    def test_replace_rejects_a_derived_field(self, name):
+        mesh = build_mesh(MeshParams(1e-8, 16, 2, 0.25))
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(mesh, **{name: getattr(mesh, name)})
+
+
 class TestSharedNodeSets:
-    """Meshes of equal (N, K) share one cached pair of node and length
-    arrays, and the checks that read only those run once, when the pair
-    is made."""
+    """Meshes of equal (N, K) share one cached node array, and the checks
+    that read only the nodes run once, when the array is made."""
 
     def test_cached_meshes_match_a_construction_without_the_cache(self):
         previous, shared = None, 0
@@ -285,14 +315,16 @@ class TestSharedNodeSets:
                         except MeshConstructionError:
                             continue
                         nodes = loop_mesh_nodes(params)
-                        fresh = dataclasses.replace(mesh, nodes=nodes, lengths=np.diff(nodes))
+                        fresh = dataclasses.replace(mesh, nodes=nodes)
                         assert _bits(mesh.nodes) == _bits(fresh.nodes), params
-                        assert _bits(mesh.lengths) == _bits(fresh.lengths), params
+                        assert _bits(mesh.lengths) == _bits(np.diff(nodes)), params
+                        sigma = compute_sigma(params)
+                        assert (mesh.sigma, mesh.sigma_branch) == sigma, params
+                        assert mesh.big_k == compute_big_k(sigma.value), params
                         assert validate_mesh(mesh) == validate_mesh(fresh), params
                         if previous is not None and (n_half, mesh.big_k) == previous[0]:
                             # the set built last is still cached
                             assert mesh.nodes is previous[1].nodes
-                            assert mesh.lengths is previous[1].lengths
                             shared += 1
                         previous = ((n_half, mesh.big_k), mesh)
         assert shared > 500
@@ -301,7 +333,7 @@ class TestSharedNodeSets:
         first = build_mesh(MeshParams(1e-8, 64, 1, 0.25))
         second = build_mesh(MeshParams(2e-8, 64, 2, 0.25))
         assert first.big_k == second.big_k
-        assert second.nodes is first.nodes and second.lengths is first.lengths
+        assert second.nodes is first.nodes
         assert (first.params.eps, first.params.order) == (1e-8, 1)
         assert first.sigma != second.sigma
         assert not (first.nodes.flags.writeable or first.lengths.flags.writeable)
@@ -310,9 +342,9 @@ class TestSharedNodeSets:
         _node_set.cache_clear()
         mesh = build_mesh(MeshParams(1e-6, 40, 2, 0.25))
         shared = mesh._shared
-        nodes, lengths = mesh.nodes.copy(), mesh.lengths.copy()
-        assert shared.checks == _node_checks(nodes, lengths, 40, mesh.big_k)
-        for name, value in (("checks", ()), ("nodes", nodes), ("lengths", lengths)):
+        nodes = mesh.nodes.copy()
+        assert shared.checks == _node_checks(nodes, 40, mesh.big_k)
+        for name, value in (("checks", ()), ("nodes", nodes)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(shared, name, value)
         assert validate_mesh(mesh).ok and mesh._shared is shared
@@ -322,21 +354,19 @@ class TestSharedNodeSets:
         assert validate_mesh(mesh).ok
         nodes = mesh.nodes.copy()
         nodes[40] += 0.3 * (nodes[41] - nodes[40])
-        moved = Mesh(mesh.params, mesh.sigma, mesh.sigma_branch, mesh.big_k, nodes, np.diff(nodes))
+        moved = Mesh(mesh.params, nodes)
         spread = [v for v in validate_mesh(moved).violations if "not equidistant" in v]
         assert len(spread) == 1, validate_mesh(moved).violations
-        # the set's own arrays with other lengths, or another N, are checked in full
-        other = dataclasses.replace(mesh, lengths=np.diff(nodes))
-        assert spread[0] in validate_mesh(other).violations
+        # the set's own nodes with another N are checked in full
         recount = dataclasses.replace(mesh, params=dataclasses.replace(mesh.params, n_half=33))
         assert validate_mesh(recount).violations[0] == "interval count 64 != 2N = 66"
         assert validate_mesh(build_mesh(MeshParams(1e-6, 32, 1, 0.25))).ok
 
     def test_sets_beyond_the_bound_are_freed(self):
-        # N = 65536: a set is 4N doubles, 2 MB; eps 10^-j gives K = j + 1
+        # N = 65536: a set is 2N + 1 doubles, 1 MB; eps 10^-j gives K = j + 1
         # at k 1, lambda 0 (sigma = sqrt(eps)), up to K = 10
         n_half, bound = 65536, _node_set.cache_info().maxsize
-        set_bytes = (4 * n_half + 1) * 8
+        set_bytes = (2 * n_half + 1) * 8
         tracemalloc.start()
         try:
             for j in range(bound + 4):
@@ -359,7 +389,7 @@ class TestSharedNodeSets:
         def verdicts(params):
             mesh = build_mesh(params)
             nodes = mesh.nodes.copy()
-            fresh = dataclasses.replace(mesh, nodes=nodes, lengths=np.diff(nodes))
+            fresh = dataclasses.replace(mesh, nodes=nodes)
             return validate_mesh(mesh), validate_mesh(fresh)
 
         interval = sys.getswitchinterval()
