@@ -6,10 +6,11 @@ fits the solver.  A Problem takes eps, b, c and f; the drift a = -x b
 (Problem.coeff_a) and the layer strength lambda_bar = c(0)/b(0) are
 computed from them.  Making a Problem also checks coercivity,
 gamma = min(c - a'/2) > 0 with a' differenced from a, whatever the method,
-and keeps gamma/(2 ||c||^2) for the theorem-capped deltas.  Providing the
-exact solution and its derivative (u, u') unlocks the error norms;
-registering a factory under a name makes the problem selectable from the
-CLI via --problem.  A factory may ignore lam, but a run whose mesh lambda
+and keeps gamma/(2 ||c||^2) for the theorem-capped deltas.  Providing
+`solution`, one evaluator that maps x to the pair (u, u') of the exact
+solution and its derivative, unlocks the error norms; registering a
+factory under a name makes the problem selectable from the CLI via
+--problem.  A factory may ignore lam, but a run whose mesh lambda
 (--lambda) exceeds the problem's lambda_bar is a config error.
 
 Here: b = 1 (so a = -x and lambda_bar = 1), c = 1 and the manufactured solution u = 1 - x^2, which lies
@@ -34,14 +35,12 @@ from cuspfem import (
 
 
 def quadratic_bump(eps: float, lam: float) -> Problem:
-    u = lambda x: 1.0 - x * x
     return Problem(
         eps=eps,
         coeff_b=lambda x: np.ones_like(x),
         coeff_c=lambda x: np.ones_like(x),
         rhs_f=lambda x: 2.0 * eps + 1.0 + x * x,
-        exact=u,
-        exact_dx=lambda x: -2.0 * x,
+        solution=lambda x: (1.0 - x * x, -2.0 * x),
     )
 
 

@@ -44,10 +44,12 @@ DELTA_POLICIES = ("standard", "theorem-capped")
 
 RESIDUAL_TOL = 1e-10
 
-# refinement stops once dx_i^2 <= STEP_TOL, dx_i = ||dx_i|| / ||x|| (inf norms):
-# the steps shrink about quadratically, so dx_i^2 estimates the error left,
-# here within ten ulps (dx_i <= 3.2e-8); or once a step fails to halve the
-# one before; or after MAX_STEPS steps, as in LAPACK's xGBRFS
+# refinement stops once the predicted next step dx_i rho_i <= STEP_TOL, with
+# dx_i = ||dx_i|| / ||x|| (inf norms) and rho_i = dx_i / dx_{i-1} (rho_0 =
+# dx_0): the steps shrink quadratically at small kN but linearly at large kN
+# and eps >= 1e-2, and in both the prediction estimates the error left, here
+# within ten ulps; or once a step fails to halve the one before; or after
+# MAX_STEPS steps, as in LAPACK's xGBRFS
 STEP_TOL = 1e-15
 MAX_STEPS = 5
 
@@ -470,7 +472,11 @@ def _element_residual(system: LinearSystem, coeffs: np.ndarray) -> np.ndarray:
             dv *= w
             dv *= strong
             with_d1 += dv
-        _add_local(ax, tables.load @ stacked.reshape(-1, h.size), span, k)
+        local = tables.load @ stacked.reshape(-1, h.size)
+        # D1's rows sum to zero (a constant has no derivative): row 0 closes
+        # the rows' sum to the V part's, so their rounding cancels per element
+        np.subtract(V.sum(0) @ stacked[0], local[1:].sum(0), out=local[0])
+        _add_local(ax, local, span, k)
     # the two boundary entries collect rows that Dirichlet elimination drops
     r = ax[1:-1]
     np.subtract(system.rhs, r, out=r)
@@ -543,7 +549,8 @@ def solve_banded(system: LinearSystem) -> DiscreteFunction:
         steps.append(_max_abs(r) / x_max if x_max else 0.0)
         del r  # freed before the next residual
         r = _element_residual(system, coeffs)
-        if steps[i] ** 2 <= STEP_TOL or (i and steps[i] > steps[i - 1] / 2):
+        rate = steps[i] / steps[i - 1] if i else steps[i]
+        if steps[i] * rate <= STEP_TOL or (i and rate > 0.5):
             break
     rel = _contract(r, x_max, norm_a, norm_b)
     return DiscreteFunction(system.mesh, k, system.family, coeffs, rel, tuple(steps))

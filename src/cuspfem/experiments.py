@@ -246,7 +246,7 @@ def sample_solution(config: SweepConfig, resolution: int = 1001) -> Table:
     _, fn = _solve(config, prob, mesh)
     xs = np.union1d(np.linspace(-1.0, 1.0, resolution), mesh.nodes)
     uN = fn.evaluate(xs)
-    u = prob.exact(xs)
+    u = prob.solution(xs)[0]
     rows = tuple(zip(xs.tolist(), uN.tolist(), u.tolist(), (uN - u).tolist()))
     return Table(("x", "u_N", "u", "err"), rows)
 

@@ -17,6 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
+# x to the pair (u(x), u'(x)), each in x's shape
+Solution = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 _VALIDATION_GRID = np.linspace(-1.0, 1.0, 257)
 _ORIGIN = np.array([0.0])
@@ -29,9 +31,9 @@ class Problem:
     Coefficients and right-hand side, all vectorized evaluators on [-1, 1].
 
     The drift a(x) = -x b(x) and the layer strength lambda_bar =
-    c(0)/|a'(0)| = c(0)/b(0) follow from b and c.  exact and exact_dx
-    optionally hold the solution and its derivative, which the error norms
-    need.
+    c(0)/|a'(0)| = c(0)/b(0) follow from b and c.  solution optionally
+    maps x to the pair (u, u') of the exact solution and its derivative,
+    which the error norms need.
 
     Making one checks b > 0, c >= 0, c(0) > 0 and coercivity (`gamma_estimate`),
     and sets the attribute `delta_cap` = gamma/(2 ||c||_inf^2), the cap on every
@@ -42,8 +44,7 @@ class Problem:
     coeff_b: Evaluator
     coeff_c: Evaluator
     rhs_f: Evaluator
-    exact: Optional[Evaluator] = None
-    exact_dx: Optional[Evaluator] = None
+    solution: Optional[Solution] = None
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -53,8 +54,6 @@ class Problem:
             raise ValueError("coefficient b must be positive on [-1, 1]")
         if not (np.min(self.coeff_c(_VALIDATION_GRID)) >= 0.0 and self.coeff_c(_ORIGIN)[0] > 0.0):
             raise ValueError("need c >= 0 on [-1, 1] and c(0) > 0")
-        if (self.exact is None) != (self.exact_dx is None):
-            raise ValueError("register the exact solution with both u and u'")
         gamma = gamma_estimate(self)
         c_inf = float(np.max(self.coeff_c(np.linspace(-1.0, 1.0, 4097))))
         if not c_inf < math.inf:  # NaN too
@@ -76,7 +75,7 @@ class Problem:
 
     @property
     def has_exact(self) -> bool:
-        return self.exact is not None
+        return self.solution is not None
 
 
 def make_test_problem(eps: float, lam: float) -> Problem:
@@ -88,7 +87,9 @@ def make_test_problem(eps: float, lam: float) -> Problem:
 
     which is exactly 0 at x = +-1 in floating point.  u' and u'' are
     hand-differentiated; f is synthesized from them, which keeps problem and
-    exact solution consistent by construction.  lambda_bar = lam.
+    exact solution consistent by construction.  The solution evaluator
+    returns (u, u') from one evaluation of the powers of x^2 + eps.
+    lambda_bar = lam.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
@@ -128,16 +129,14 @@ def make_test_problem(eps: float, lam: float) -> Problem:
             + (lam - 1.0) * x * p1 * (lam * w - (lam - 3.0) * eps)
         ) / (w * w)
 
-    def u(x):
-        v = u_from(x, *powers(x)[1:])
+    def solution(x):
+        w, p0, p1 = powers(x)
+        u = u_from(x, p0, p1)
         # numpy's array ** can round w^(lam/2) apart from k0 at x = +-1
         ends = np.abs(x) == 1.0
-        if np.ndim(v):
-            v[ends] = 0.0
-        return v
-
-    def du(x):
-        return du_from(x, *powers(x))
+        if np.ndim(u):
+            u[ends] = 0.0
+        return u, du_from(x, w, p0, p1)
 
     def f(x):
         w, p0, p1 = powers(x)
@@ -153,8 +152,7 @@ def make_test_problem(eps: float, lam: float) -> Problem:
         coeff_b=b,
         coeff_c=c,
         rhs_f=f,
-        exact=u,
-        exact_dx=du,
+        solution=solution,
     )
 
 

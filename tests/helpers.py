@@ -46,8 +46,7 @@ def patch_problem(eps: float = 1.0, degree: int = 2) -> Problem:
         coeff_b=lambda x: np.ones_like(x),
         coeff_c=lambda x: np.ones_like(x),
         rhs_f=lambda x: -eps * ddu(x) - x * du(x) + u(x),
-        exact=u,
-        exact_dx=du,
+        solution=lambda x: (u(x), du(x)),
     )
 
 
@@ -65,8 +64,7 @@ def near_zero_coefficient_problem(eps: float = 1.0, lam: float = 1.0) -> Problem
         coeff_b=lambda x: np.full_like(x, tiny),
         coeff_c=lambda x: np.full_like(x, tiny),
         rhs_f=lambda x: np.zeros_like(x),
-        exact=lambda x: np.zeros_like(x),
-        exact_dx=lambda x: np.zeros_like(x),
+        solution=lambda x: (np.zeros_like(x), np.zeros_like(x)),
     )
 
 
@@ -121,7 +119,7 @@ def counting_problem(calls: list, eps: float = 1e-6, lam: float = 0.25) -> Probl
 def no_exact_problem(eps: float = 1e-6, lam: float = 0.25) -> Problem:
     """The manufactured problem's data without its exact solution; also a
     registry factory."""
-    return replace(make_test_problem(eps, lam), exact=None, exact_dx=None)
+    return replace(make_test_problem(eps, lam), solution=None)
 
 
 # numpy's MemoryError text for an array that does not fit
@@ -245,8 +243,9 @@ def uniform_error_norms(fn: DiscreteFunction, problem: Problem, stab, points: in
     V, D1, _ = _ref_basis(fn.order, fn.family).tables(pts)
     k, h = fn.order, fn.mesh.lengths
     coef = fn.coefficients[np.arange(h.size)[:, None] * k + np.arange(k + 1)[None, :]]
-    err = problem.exact(xq) - coef @ V
-    derr = problem.exact_dx(xq) - (coef @ D1) / h[:, None]
+    u, du = problem.solution(xq)
+    err = u - coef @ V
+    derr = du - (coef @ D1) / h[:, None]
     l2 = np.sum(wq * err * err)
     h1 = problem.eps * np.sum(wq * derr * derr)
     sd = 0.0 if stab is None else np.sum(stab.deltas[:, None] * wq * (problem.coeff_a(xq) * derr) ** 2)
@@ -275,8 +274,8 @@ def whole_mesh_norms(fn: DiscreteFunction, problem: Problem, stab, quad, exact: 
         coef = fn.coefficients[el[:, None] * k + np.arange(k + 1)[None, :]]
         err, derr = coef @ V, (coef @ D1) / h
         if exact:
-            err = problem.exact(xq) - err
-            derr = problem.exact_dx(xq) - derr
+            u, du = problem.solution(xq)
+            err, derr = u - err, du - derr
         l2s += np.sum(wq * err * err)
         h1s += np.sum(wq * derr * derr)
         xdps += np.sum(wq * (xq * derr) ** 2)
@@ -295,9 +294,9 @@ def weak_form_on_exact(problem: Problem, mesh, k: int, family: str, points: int,
     pts, xq, wq = uniform_composite_rule(mesh, points, panels)
     V, D1, _ = _ref_basis(k, family).tables(pts)
     h = mesh.lengths
-    up = problem.exact_dx(xq)
+    u, up = problem.solution(xq)
     integrand_dphi = problem.eps * up * wq / h[:, None]       # pairs with phi_i'
-    integrand_phi = (problem.coeff_a(xq) * up + problem.coeff_c(xq) * problem.exact(xq)) * wq
+    integrand_phi = (problem.coeff_a(xq) * up + problem.coeff_c(xq) * u) * wq
     loc = integrand_dphi @ D1.T + integrand_phi @ V.T          # (nel, k+1)
     g = np.zeros(mesh.n_intervals * k + 1)
     for ii in range(k + 1):

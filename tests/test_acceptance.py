@@ -336,19 +336,45 @@ def test_11_standard_deltas_reach_the_interpolant_at_moderate_eps():
 
 def test_12_refinement_leaves_no_solve_floor_at_eps_1():
     """Galerkin at eps 1, k 8, N 2048 .. 16384: the L2 error is at most
-    2e-13 at every N (so at most 1e-12 at N 8192).  One refinement step
-    left 1.6e-13, 2.5e-12, 5.7e-11 and 9.4e-10, rising with N under a
-    clean residual; each further step shrinks about as the square of the
-    last, so the solve records its relative step sizes and stops once the
-    last one's square is below STEP_TOL."""
+    2e-15 at every N.  One refinement step left 1.6e-13, 2.5e-12, 5.7e-11
+    and 9.4e-10, rising with N under a clean residual.  Further steps
+    shrink linearly here, each by a factor rho_i = dx_i / dx_{i-1} of about
+    1e-4 at N 16384, so the solve records its relative step sizes and
+    stops at the first whose predicted successor dx_i rho_i is below
+    STEP_TOL (rho_0 = dx_0); every step before it contracted by at least
+    half.  A rule that took dx_i^2 for the successor stopped N 16384 after
+    its second step, 8.3e-9, and left L2 1.1e-13."""
     eps, k = 1.0, 8
     prob = make_test_problem(eps, 0.25)
     for n in (2048, 4096, 8192, 16384):
         mesh = build_mesh(MeshParams(eps, n, k, 0.25))
         fn = solve_banded(assemble_galerkin(prob, mesh, k))
         l2 = error_norms(fn, prob, mesh).l2
-        assert l2 <= 2e-13, (n, l2, fn.steps)
-        assert len(fn.steps) == 2 and fn.steps[1] ** 2 <= STEP_TOL < fn.steps[0] ** 2, fn.steps
+        assert l2 <= 2e-15, (n, l2, fn.steps)
+        steps = fn.steps
+        rates = [steps[0], *(b / a for a, b in zip(steps, steps[1:]))]
+        predicted = [dx * rho for dx, rho in zip(steps, rates)]
+        assert predicted[-1] <= STEP_TOL < min(predicted[:-1], default=math.inf), steps
+        assert max(rates[1:], default=0.0) <= 0.5, steps
+
+
+def test_12c_l2_error_reaches_the_interpolant_at_large_n():
+    """Galerkin at eps 1, 1e-1 and 1e-2, k 4 and 8, N 1024, 4096 and 16384:
+    the L2 error is at most 10x the interpolant's (6.4x at worst, eps 1e-1,
+    k 4, N 4096).  The refinement's element residual applied D1's rounded
+    rows to each element, whose sums miss zero by up to 2.8e-14 at k 8;
+    over 2N elements that acts as a spurious first-order term, and the
+    errors sat 2x to 3000x above the interpolant's.  Row 0 of each
+    element's local residual now closes the rows' sum, so the miss cancels
+    element by element."""
+    for eps in (1.0, 1e-1, 1e-2):
+        prob = make_test_problem(eps, 0.25)
+        for k in (4, 8):
+            for n in (1024, 4096, 16384):
+                mesh = build_mesh(MeshParams(eps, n, k, 0.25))
+                own = error_norms(solve_banded(assemble_galerkin(prob, mesh, k)), prob, mesh).l2
+                interp = error_norms(interpolate(prob, mesh, k), prob, mesh).l2
+                assert own <= 10.0 * interp, (eps, k, n, own, interp)
 
 
 def test_12b_sweep_size_case_takes_one_refinement_step():

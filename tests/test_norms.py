@@ -43,8 +43,7 @@ def constant_one_problem(eps: float) -> Problem:
         coeff_b=one,
         coeff_c=one,
         rhs_f=one,
-        exact=one,
-        exact_dx=zero,
+        solution=lambda x: (one(x), zero(x)),
     )
 
 
@@ -56,8 +55,7 @@ def zero_exact_problem(eps: float) -> Problem:
         coeff_b=one,
         coeff_c=one,
         rhs_f=zero,
-        exact=zero,
-        exact_dx=zero,
+        solution=lambda x: (zero(x), zero(x)),
     )
 
 
@@ -67,7 +65,7 @@ class TestInterpolate:
         mesh = build_mesh(MeshParams(1e-6, 32, 2, 0.25))
         fn = interpolate(prob, mesh, 2)
         nodes = global_nodes(mesh, 2, "uniform")
-        assert np.array_equal(fn.coefficients[1:-1], prob.exact(nodes[1:-1]))
+        assert np.array_equal(fn.coefficients[1:-1], prob.solution(nodes[1:-1])[0])
         assert fn.coefficients[0] == 0.0 and fn.coefficients[-1] == 0.0
 
     def test_reproduces_in_space_function(self):
@@ -85,7 +83,7 @@ class TestInterpolate:
         for n in (64, 128):
             mesh = build_mesh(MeshParams(1e-6, n, 2, 0.25))
             fn = interpolate(prob, mesh, 2)
-            sups.append(float(np.max(np.abs(fn(xs) - prob.exact(xs)))))
+            sups.append(float(np.max(np.abs(fn(xs) - prob.solution(xs)[0]))))
         assert sups[1] < sups[0]
 
     def test_requires_exact(self):
@@ -310,8 +308,8 @@ class TestLayerGradedQuadrature:
         assert len(np.unique(_panel_counts(mesh, eps, 8))) > 2
         interp = interpolate(prob, mesh, 3)
         diff = DiscreteFunction(mesh, 3, "uniform", interp.coefficients - fn.coefficients)
-        zero = lambda x: np.zeros_like(x)
-        zero_exact = Problem(eps, prob.coeff_b, prob.coeff_c, prob.rhs_f, exact=zero, exact_dx=zero)
+        zero = lambda x: (np.zeros_like(x), np.zeros_like(x))
+        zero_exact = Problem(eps, prob.coeff_b, prob.coeff_c, prob.rhs_f, solution=zero)
         assert sd_distance(interp, fn, prob, stab) == error_norms(diff, zero_exact, mesh, stab).sd
 
 
@@ -334,7 +332,8 @@ def masked_grouping_norms(fn, problem, stab, quad, minus=None) -> ErrorReport:
             h, u, xq = block.lengths[g], local[:, g], block.at(tables.rule.points, g)
             err, derr = tables.V.T @ u, (tables.D1.T @ u) / h
             if minus is None:
-                err, derr = problem.exact(xq) - err, problem.exact_dx(xq) - derr
+                exact, dexact = problem.solution(xq)
+                err, derr = exact - err, dexact - derr
             wq = tables.rule.weights[:, None] * h
             sums += [np.sum(wq * err * err), np.sum(wq * derr * derr), np.sum(wq * (xq * derr) ** 2)]
             if stab is not None:
